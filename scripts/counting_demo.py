@@ -11,9 +11,8 @@ from __future__ import annotations
 import argparse
 
 from empower.generators import random_digraph
-from empower.graph import serialize_graph, topological_order
+from empower.graph import serialize_graph
 from empower.hardness import build_reduction, dfs_counts, reduction_counts
-from empower.dag import solve_dag
 from empower.solver import solve_general
 
 
@@ -31,14 +30,11 @@ def main():
     print(f"bound B = {inst.bound}")
     print("wrapped instance:")
     print("  " + serialize_graph(inst.graph).replace("\n", "\n  ").rstrip())
-    acyclic = topological_order(inst.graph).order is not None
-    if acyclic:
-        empower = solve_dag(inst.graph, inst.target_arc)
-    else:
-        empower = solve_general(inst.graph, inst.target_arc).value
+    result = solve_general(inst.graph, inst.target_arc)
+    empower = result.value
     exit_weight = inst.graph.arcs[inst.target_arc]
-    print(f"solver: {'dag' if acyclic else 'cotree'}")
-    print(f"Em(target arc) = {empower}")
+    print(f"Em(target arc) = {empower} ({result.stats.path_count} emergy paths, "
+          f"{result.stats.memo_entries} memo entries)")
     print(f"rescaled expansion = {empower / exit_weight}")
     decoded = reduction_counts(d)
     direct = dfs_counts(d)

@@ -9,7 +9,7 @@ from .compat import (
     longest_common_prefix,
     pairwise_compatible,
 )
-from .dag import GraphCycleError, ValueTable, compute_value_table, reachability_to_target, solve_dag
+from .dag import GraphCycleError, solve_dag
 from .graph import (
     EmergyGraph,
     NodeKind,
@@ -17,6 +17,7 @@ from .graph import (
     TopoResult,
     Violation,
     parse_graph,
+    reachability_to_target,
     serialize_graph,
     topological_order,
     validate_graph,
@@ -37,23 +38,21 @@ from .hardness import (
 )
 from .paths import EmergyPath, concat_paths, enumerate_emergy_paths, path_value
 from .solver import (
+    ArcSearch,
     EmergyState,
     SolveResult,
-    TrieNode,
+    SolveStats,
     brute_force_solve,
-    build_source_trie,
-    evaluate_trie,
     solve_general,
 )
 
 __all__ = [
-    "CompatibilityGraph", "Digraph", "EmergyGraph", "EmergyPath", "EmergyState",
-    "GraphCycleError", "NodeKind", "ParseError", "PathCountVector",
-    "ReductionInstance", "SolveResult", "TopoResult", "TrieNode", "ValueTable",
-    "Violation", "brute_force_solve", "build_compatibility_graph",
-    "build_reduction", "build_source_trie", "compatible", "compute_value_table",
-    "concat_paths", "count_simple_paths", "decode_counts", "dfs_counts",
-    "enumerate_emergy_paths", "enumerate_simple_paths", "evaluate_trie",
+    "ArcSearch", "CompatibilityGraph", "Digraph", "EmergyGraph", "EmergyPath",
+    "EmergyState", "GraphCycleError", "NodeKind", "ParseError", "PathCountVector",
+    "ReductionInstance", "SolveResult", "SolveStats", "TopoResult", "Violation",
+    "brute_force_solve", "build_compatibility_graph", "build_reduction",
+    "compatible", "concat_paths", "count_simple_paths", "decode_counts",
+    "dfs_counts", "enumerate_emergy_paths", "enumerate_simple_paths",
     "find_induced_p4", "is_p4_free", "longest_common_prefix", "pairwise_compatible",
     "parse_digraph", "parse_graph", "path_value", "reachability_to_target",
     "reduction_counts", "serialize_digraph", "serialize_graph",

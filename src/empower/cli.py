@@ -14,11 +14,10 @@ from pathlib import Path
 
 from . import fixtures, generators
 from .compat import build_compatibility_graph, find_induced_p4
-from .dag import solve_dag
-from .graph import EmergyGraph, ParseError, parse_graph, serialize_graph, topological_order, validate_graph
+from .graph import EmergyGraph, ParseError, parse_graph, serialize_graph, validate_graph
 from .hardness import build_reduction, count_simple_paths, parse_digraph, serialize_digraph
 from .paths import enumerate_emergy_paths
-from .solver import EmergyState, SolveResult, SolveStats, brute_force_solve, solve_general
+from .solver import ArcSearch, SolveResult, brute_force_solve
 
 
 def decimal_string(x: Fraction, places: int = 2) -> str:
@@ -112,22 +111,20 @@ def cmd_paths(args) -> int:
 
 def _solve(g: EmergyGraph, arc: tuple[int, int], method: str,
            want_state: bool) -> SolveResult | int:
-    acyclic = topological_order(g).order is not None
-    if method == "auto":
-        method = "dag" if acyclic and not want_state else "cotree"
-    if method == "dag":
-        if want_state:
-            return _fail("the dag method computes the value only; drop --state", 2)
-        if not acyclic:
-            return _fail("the dag method needs an acyclic instance; use cotree", 3)
-        return SolveResult(solve_dag(g, arc), EmergyState.of(()), "dag",
-                           SolveStats(0, (), 0.0))
     if method == "brute":
         try:
             return brute_force_solve(g, arc)
         except ValueError as exc:
             return _fail(str(exc), 3)
-    return solve_general(g, arc)
+    search = ArcSearch(g, arc)
+    if method == "auto":
+        method = "dag" if search.acyclic and not want_state else "cotree"
+    if method == "dag":
+        if want_state:
+            return _fail("the dag method computes the value only; drop --state", 2)
+        if not search.acyclic:
+            return _fail("the dag method needs an acyclic instance; use cotree", 3)
+    return search.solve(method)
 
 
 def cmd_solve(args) -> int:
@@ -147,13 +144,13 @@ def cmd_solve(args) -> int:
     if args.format == "records":
         print(f"solution arc={args.arc[0]},{args.arc[1]} method={result.method} "
               f"em={result.value} decimal={dec} paths={result.stats.path_count} "
-              f"witness={len(result.witness.paths)}")
+              f"witness={result.stats.witness_count}")
     else:
         print(f"Em = {result.value} ({dec})")
     if args.state:
         if args.format != "records":
             print("state:")
-        for p in result.witness.paths:
+        for p in result.witness_paths():
             prefix = "state-path" if args.format == "records" else " "
             print(f"{prefix} {p} value={p.value}")
     if args.period is not None:

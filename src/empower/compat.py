@@ -4,8 +4,8 @@ Two paths ending with the same arc are compatible when they are equal, start
 at different nodes, or part ways at a split. Parting ways at a co-product is
 the one incompatible case: only the largest co-product branch may be counted,
 never both. The graph induced by this relation on the emergy paths of a query
-arc contains no induced four-vertex path, which is what the trie evaluation
-in `solver` exploits; `is_p4_free` is kept as the independent witness of that
+arc contains no induced four-vertex path, which is what the search in
+`solver` exploits; `is_p4_free` is kept as the independent witness of that
 fact.
 """
 

@@ -1,19 +1,17 @@
-"""Linear-time maximum empower on acyclic graphs.
+"""Maximum empower on acyclic graphs.
 
-On a DAG every source-to-arc path is simple, so the optimum satisfies a
-local recursion: the best value attainable from a node is the weighted sum
-of its children's values at a split, the best child at a co-product, and the
-child's value scaled by the emergy at a source. One sweep in reverse
-topological order computes the whole table; the answer is the sum over
-sources. Value only, no witness state.
+On a DAG every strongly connected component is a single node, so the
+memoized search of `empower.solver` enters each node once and its cost is
+linear in the graph. `solve_dag` is that search behind an acyclicity guard:
+it refuses a cyclic graph before searching and returns the value only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import EmergyGraph, NodeKind, require_arc, topological_order
+from .graph import EmergyGraph, topological_order
+from .solver import ArcSearch
 
 
 class GraphCycleError(ValueError):
@@ -24,58 +22,9 @@ class GraphCycleError(ValueError):
         self.cycle = cycle
 
 
-@dataclass(frozen=True)
-class ValueTable:
-    """Per-node best attainable values plus the set of nodes reaching the arc."""
-
-    values: dict[int, Fraction]
-    reachable: frozenset[int]
-
-
-def reachability_to_target(g: EmergyGraph, arc: tuple[int, int]) -> frozenset[int]:
-    """Nodes with a directed path to the arc tail, the tail included."""
-    tail, _ = require_arc(g, arc)
-    seen = {tail}
-    frontier = [tail]
-    while frontier:
-        node = frontier.pop()
-        for p in g.predecessors(node):
-            if p not in seen:
-                seen.add(p)
-                frontier.append(p)
-    return frozenset(seen)
-
-
-def compute_value_table(g: EmergyGraph, arc: tuple[int, int]) -> ValueTable:
-    """Fill the recursion table in reverse topological order.
-
-    Nodes that cannot reach the arc keep value 0, which lets the split sum
-    and the co-product max treat dead branches uniformly.
-    """
-    tail, head = require_arc(g, arc)
-    topo = topological_order(g)
-    if topo.cycle is not None:
-        raise GraphCycleError(topo.cycle)
-    reachable = reachability_to_target(g, arc)
-    values = {i: Fraction(0) for i in g.nodes}
-    for i in reversed(topo.order):
-        if i not in reachable:
-            continue
-        kind = g.kind[i]
-        if i == tail:
-            values[i] = g.source_emergy[i] if kind is NodeKind.SOURCE else g.arcs[arc]
-        elif kind is NodeKind.SOURCE:
-            values[i] = g.source_emergy[i] * values[g.successors(i)[0]]
-        elif kind is NodeKind.SPLIT:
-            values[i] = sum(
-                (g.arcs[(i, j)] * values[j] for j in g.successors(i)), Fraction(0))
-        elif kind is NodeKind.COPRODUCT:
-            values[i] = max(values[j] for j in g.successors(i))
-        # outputs never reach the tail, so no case for them
-    return ValueTable(values, reachable)
-
-
 def solve_dag(g: EmergyGraph, arc: tuple[int, int]) -> Fraction:
-    """Maximum empower of `arc` on an acyclic graph: sum the table over sources."""
-    table = compute_value_table(g, arc)
-    return sum((table.values[s] for s in g.sources), Fraction(0))
+    """Maximum empower of `arc` on an acyclic graph, without a witness."""
+    search = ArcSearch(g, arc)
+    if not search.acyclic:
+        raise GraphCycleError(topological_order(g).cycle)
+    return search.solve("dag").value

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 
@@ -76,9 +77,62 @@ class EmergyGraph:
         object.__setattr__(self, "succ", {i: tuple(sorted(v)) for i, v in succ.items()})
         object.__setattr__(self, "pred", {i: tuple(sorted(v)) for i, v in pred.items()})
 
-    @property
+    @cached_property
     def nodes(self) -> tuple[int, ...]:
         return tuple(sorted(self.kind))
+
+    @cached_property
+    def components(self) -> tuple[int, ...]:
+        """Strongly connected components by Tarjan's algorithm, iteratively.
+
+        Node `nodes[i]` is bit i; entry i is the bit mask of that node's
+        component. The graph is acyclic exactly when every mask has one bit.
+        """
+        index = {v: i for i, v in enumerate(self.nodes)}
+        succ = [[index[w] for w in self.succ[v]] for v in self.nodes]
+        n = len(succ)
+        order = [-1] * n
+        low = [0] * n
+        on_stack = [False] * n
+        stack: list[int] = []
+        masks = [0] * n
+        counter = 0
+        for root in range(n):
+            if order[root] >= 0:
+                continue
+            order[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack[root] = True
+            work = [(root, iter(succ[root]))]
+            while work:
+                v, successors = work[-1]
+                for w in successors:
+                    if order[w] < 0:
+                        order[w] = low[w] = counter
+                        counter += 1
+                        stack.append(w)
+                        on_stack[w] = True
+                        work.append((w, iter(succ[w])))
+                        break
+                    if on_stack[w] and order[w] < low[v]:
+                        low[v] = order[w]
+                else:
+                    work.pop()
+                    if work:
+                        u = work[-1][0]
+                        low[u] = min(low[u], low[v])
+                    if low[v] == order[v]:
+                        mask, w = 0, -1
+                        members = []
+                        while w != v:
+                            w = stack.pop()
+                            on_stack[w] = False
+                            mask |= 1 << w
+                            members.append(w)
+                        for w in members:
+                            masks[w] = mask
+        return tuple(masks)
 
     @property
     def sources(self) -> tuple[int, ...]:
@@ -114,26 +168,51 @@ def require_arc(g: EmergyGraph, arc: tuple[int, int]) -> tuple[int, int]:
     return arc
 
 
-_RATIONAL = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+def reachability_to_target(g: EmergyGraph, arc: tuple[int, int]) -> frozenset[int]:
+    """Nodes with a directed path to the arc tail, the tail included."""
+    tail, _ = require_arc(g, arc)
+    seen = {tail}
+    frontier = [tail]
+    while frontier:
+        node = frontier.pop()
+        for p in g.predecessors(node):
+            if p not in seen:
+                seen.add(p)
+                frontier.append(p)
+    return frozenset(seen)
+
+
+# ASCII digits only: `\d` and `str.isdigit` also accept characters such as
+# '²' or '３' that `int` then refuses or silently reads as digits.
+_ID = re.compile(r"[0-9]+")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _to_int(text: str, what: str, line: int, col: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than `int` accepts from a string
+        raise ParseError(f"{what} {text[:20]}... is too long", line, col) from None
 
 
 def _parse_rational(token: str, line: int, col: int) -> Fraction:
-    m = _RATIONAL.match(token)
+    m = _RATIONAL.fullmatch(token)
     if not m:
         raise ParseError(f"expected a rational, got {token!r}", line, col)
-    num = int(m.group(1))
+    num = _to_int(m.group(1), "numerator", line, col)
     if m.group(2) is None:
         return Fraction(num)
-    den = int(m.group(2))
+    den = _to_int(m.group(2), "denominator", line, col)
     if den == 0:
         raise ParseError("denominator must be a positive integer", line, col)
     return Fraction(num, den)
 
 
-def _parse_node_id(token: str, line: int, col: int) -> int:
-    if not token.isdigit():
-        raise ParseError(f"expected a node id, got {token!r}", line, col)
-    return int(token)
+def parse_id(token: str, what: str, line: int, col: int) -> int:
+    """A node or vertex id: ASCII digits only, else a ParseError."""
+    if not _ID.fullmatch(token):
+        raise ParseError(f"expected a {what}, got {token!r}", line, col)
+    return _to_int(token, what, line, col)
 
 
 def _tokenize(text: str) -> Iterable[tuple[int, list[tuple[str, int]]]]:
@@ -166,7 +245,7 @@ def parse_graph(text: str) -> EmergyGraph:
         if word == "node":
             if len(tokens) < 3:
                 raise ParseError("node line needs an id and a kind", lineno, col)
-            nid = _parse_node_id(tokens[1][0], lineno, tokens[1][1])
+            nid = parse_id(tokens[1][0], "node id", lineno, tokens[1][1])
             kind_tok, kind_col = tokens[2]
             try:
                 kind = NodeKind(kind_tok)
@@ -186,8 +265,8 @@ def parse_graph(text: str) -> EmergyGraph:
         elif word == "arc":
             if len(tokens) != 4:
                 raise ParseError("arc line needs <from> <to> <weight>", lineno, col)
-            a = _parse_node_id(tokens[1][0], lineno, tokens[1][1])
-            b = _parse_node_id(tokens[2][0], lineno, tokens[2][1])
+            a = parse_id(tokens[1][0], "node id", lineno, tokens[1][1])
+            b = parse_id(tokens[2][0], "node id", lineno, tokens[2][1])
             w = _parse_rational(tokens[3][0], lineno, tokens[3][1])
             if a == b:
                 raise ParseError(f"self-loop arc ({a}, {b})", lineno, tokens[1][1])

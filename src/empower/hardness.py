@@ -19,8 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dag import solve_dag
-from .graph import EmergyGraph, NodeKind, ParseError, topological_order
+from .graph import EmergyGraph, NodeKind, ParseError, parse_id
 from .solver import solve_general
 
 
@@ -99,11 +98,7 @@ def parse_digraph(text: str) -> Digraph:
             raise ParseError(f"unrecognized line {word!r}", lineno, col)
         if len(tokens) != arity + 1:
             raise ParseError(f"{word} line needs {arity} vertex id(s)", lineno, col)
-        ids = []
-        for tok, tcol in tokens[1:]:
-            if not tok.isdigit():
-                raise ParseError(f"expected a vertex id, got {tok!r}", lineno, tcol)
-            ids.append(int(tok))
+        ids = [parse_id(tok, "vertex id", lineno, tcol) for tok, tcol in tokens[1:]]
         if word == "vertex" and len(ids) == 1:
             if ids[0] in vertices:
                 raise ParseError(f"duplicate vertex {ids[0]}", lineno, col)
@@ -232,15 +227,11 @@ def dfs_counts(d: Digraph) -> PathCountVector:
 def reduction_counts(d: Digraph) -> PathCountVector:
     """Solve the wrapped instance and decode the digits.
 
-    Uses the linear-time solver when the digraph is acyclic and the general
-    solver otherwise. The length-2 digit is always zero (the shortest wrapped
-    path has three arcs) and is asserted, not skipped.
+    The length-2 digit is always zero (the shortest wrapped path has three
+    arcs) and is asserted, not skipped.
     """
     inst = build_reduction(d)
-    if topological_order(inst.graph).order is not None:
-        empower = solve_dag(inst.graph, inst.target_arc)
-    else:
-        empower = solve_general(inst.graph, inst.target_arc).value
+    empower = solve_general(inst.graph, inst.target_arc).value
     exit_weight = inst.graph.arcs[inst.target_arc]
     vector = decode_counts(empower / exit_weight, inst.bound, len(d.vertices) + 1)
     assert vector.count(2) == 0, "a wrapped path needs at least three arcs"

@@ -77,30 +77,47 @@ def concat_paths(a: Sequence[int] | None, b: Sequence[int] | None) -> tuple[int,
 def enumerate_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> list[EmergyPath]:
     """All emergy paths ending with `arc`, sorted lexicographically.
 
-    Runs a backtracking search from each source in ascending id order,
-    expanding successors ascending, so the output order is the lexicographic
-    order of the node sequences. A branch completes exactly when it reaches
-    the arc tail; the head is then appended without a visited check, which is
-    the one permitted repetition. Values are accumulated along the way.
+    Runs an iterative backtracking search from each source in ascending id
+    order, expanding successors ascending, so the output order is the
+    lexicographic order of the node sequences. A branch completes exactly
+    when it reaches the arc tail; the head is then appended without a visited
+    check, which is the one permitted repetition. Path values are carried as
+    an integer numerator and denominator and become one `Fraction` per path.
 
-    Assumes a valid graph (sources have no predecessors, so interior nodes
-    are never sources). Returns an empty list when no source reaches the arc.
+    This is the plain enumeration the compatibility graph and the
+    brute-force oracle are built on; `solve_general` never materialises the
+    paths. Assumes a valid graph (sources have no predecessors, so interior
+    nodes are never sources). Returns an empty list when no source reaches
+    the arc.
     """
     tail, head = require_arc(g, arc)
     arc_weight = g.arcs[(tail, head)]
+    last_num, last_den = arc_weight.numerator, arc_weight.denominator
     results: list[EmergyPath] = []
-
-    def walk(node: int, prefix: tuple[int, ...], seen: set[int], value: Fraction):
-        if node == tail:
-            results.append(EmergyPath(prefix + (head,), value * arc_weight))
-            return
-        for nxt in g.successors(node):
+    for s in g.sources:
+        emergy = g.source_emergy[s]
+        if s == tail:
+            results.append(EmergyPath((s, head), emergy * arc_weight))
+            continue
+        path = [s]
+        seen = {s}
+        frames = [(iter(g.successors(s)), emergy.numerator, emergy.denominator)]
+        while frames:
+            successors, num, den = frames[-1]
+            nxt = next(successors, None)
+            if nxt is None:
+                frames.pop()
+                seen.discard(path.pop())
+                continue
             if nxt in seen:
                 continue
+            weight = g.arcs[(path[-1], nxt)]
+            step_num, step_den = num * weight.numerator, den * weight.denominator
+            if nxt == tail:
+                value = Fraction(step_num * last_num, step_den * last_den)
+                results.append(EmergyPath((*path, tail, head), value))
+                continue
+            path.append(nxt)
             seen.add(nxt)
-            walk(nxt, prefix + (nxt,), seen, value * g.arcs[(node, nxt)])
-            seen.remove(nxt)
-
-    for s in g.sources:
-        walk(s, (s,), {s}, g.source_emergy[s])
+            frames.append((iter(g.successors(nxt)), step_num, step_den))
     return results

@@ -1,11 +1,24 @@
 """General-case maximum empower solver.
 
-The emergy paths of one source, laid out as a prefix trie, decompose the
+The emergy paths of one source, laid out as a prefix tree, decompose the
 compatibility structure exactly: branches under a split node are mutually
 compatible (take them all, add), branches under a co-product are mutually
-exclusive (take the best one). Evaluating each source's trie bottom-up and
-summing across sources therefore yields the maximum-weight set of pairwise
-compatible paths, together with the witness set itself. `brute_force_solve`
+exclusive (take the best one). That prefix tree is the search tree of a
+depth-first path search, so `solve_general` evaluates the recursion inside
+one search per source instead of materialising the paths first.
+
+A simple path that leaves a strongly connected component never comes back to
+it, so what the search finds below a node depends only on the visited nodes
+inside that node's component. Results are memoized on (node, visited nodes
+of its component). On an acyclic graph every component is one node and the
+search visits each node once; inside a cycle the cost stays exponential in
+the component's size, as it must (counting simple paths reduces to this
+problem, see `empower.hardness`).
+
+The witness, an optimal set of compatible paths, can hold exponentially
+many paths (2^k on a diamond chain of k layers). The memo keeps it as the
+branches each entry kept; it becomes paths only when asked for, one at a
+time, already in lexicographic order. `brute_force_solve`
 maximizes over all compatible subsets directly and exists purely as an
 oracle for small instances.
 """
@@ -15,24 +28,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterator
 
 from .compat import compatible
-from .graph import EmergyGraph, NodeKind
+from .graph import EmergyGraph, NodeKind, reachability_to_target, require_arc
 from .paths import EmergyPath, enumerate_emergy_paths
-
-
-@dataclass
-class TrieNode:
-    """One position in a per-source path trie; leaves carry whole paths."""
-
-    node_id: int
-    children: dict[int, "TrieNode"] = field(default_factory=dict)
-    leaf: EmergyPath | None = None
-
-    def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children.values())
 
 
 @dataclass(frozen=True)
@@ -42,108 +43,205 @@ class EmergyState:
     paths: tuple[EmergyPath, ...]
     value: Fraction
 
-    @classmethod
-    def of(cls, paths: Iterable[EmergyPath]) -> "EmergyState":
-        ordered = tuple(sorted(paths))
-        return cls(ordered, sum((p.value for p in ordered), Fraction(0)))
-
 
 @dataclass(frozen=True)
 class SolveStats:
+    """What a solve did: emergy paths of the arc, witness paths, memo size."""
+
     path_count: int
-    trie_sizes: tuple[int, ...]
+    witness_count: int
+    memo_entries: int
     elapsed: float
 
 
 @dataclass(frozen=True)
 class SolveResult:
+    """The optimum of one query; the witness is expanded on first use."""
+
     value: Fraction
-    witness: EmergyState
     method: str
     stats: SolveStats
+    # produces the witness paths in lexicographic order, one at a time
+    witness_paths: Callable[[], Iterator[EmergyPath]] = field(repr=False, compare=False)
+
+    @cached_property
+    def witness(self) -> EmergyState:
+        return EmergyState(tuple(self.witness_paths()), self.value)
 
 
-def build_source_trie(paths: Sequence[EmergyPath]) -> TrieNode:
-    """Insert the paths of one source into a shared-prefix trie.
+# A memo entry is (value, paths, witness paths, kept branches); a branch is
+# (option, the successor's entry), where an option is (successor index, arc
+# weight, its numerator, its denominator). Values are relative to the
+# entry's node: products of the arc weights below it, summed over the kept
+# paths.
+_DEAD = (Fraction(0), 0, 0, ())
 
-    Raises when two paths are prefix-related (or duplicated): distinct
-    emergy paths ending with the same arc never are, because the earlier
-    occurrence of the arc tail would break simplicity, and the evaluation
-    below leans on leaves being exactly the paths.
+
+class ArcSearch:
+    """The memoized path search for one query arc.
+
+    Construction costs one pass over the graph: nodes get bit indices and
+    the nodes that can reach the arc tail are found; the graph's strongly
+    connected components (computed once per graph) also tell whether it is
+    acyclic. The search itself runs on demand, once per start node, and all
+    start nodes share one memo. Assumes a valid graph: positive weights,
+    sources without predecessors.
     """
-    if not paths:
-        raise ValueError("cannot build a trie from zero paths")
-    root = TrieNode(paths[0].nodes[0])
-    for p in paths:
-        if p.nodes[0] != root.node_id:
-            raise ValueError("paths of one trie must share their first node")
-        node = root
-        for nid in p.nodes[1:]:
-            if node.leaf is not None:
-                raise ValueError(f"path {node.leaf} is a strict prefix of {p}")
-            node = node.children.setdefault(nid, TrieNode(nid))
-        if node.leaf is not None or node.children:
-            raise ValueError(f"path {p} duplicates or prefixes another path")
-        node.leaf = p
-    return root
 
+    def __init__(self, g: EmergyGraph, arc: tuple[int, int]):
+        self.g = g
+        self.tail, self.head = require_arc(g, arc)
+        self.ids = g.nodes
+        self.index = index = {v: i for i, v in enumerate(self.ids)}
+        self.scc = g.components
+        self.acyclic = all(m & (m - 1) == 0 for m in self.scc)
+        # the search enters only nodes that reach the tail, and stops there
+        live = reachability_to_target(g, (self.tail, self.head))
+        arcs = g.arcs
+        self.options = [
+            [(index[w], arcs[v, w], arcs[v, w].numerator, arcs[v, w].denominator)
+             for w in g.succ[v] if w in live]
+            if v in live and v != self.tail else []
+            for v in self.ids]
+        self.kinds = [g.kind[v] for v in self.ids]
+        self.memo: list[dict[int, tuple]] = [{} for _ in self.ids]
+        self.leaf = (arcs[self.tail, self.head], 1, 1, ())
 
-def evaluate_trie(g: EmergyGraph, root: TrieNode) -> tuple[Fraction, list[EmergyPath]]:
-    """Best total value over compatible leaf subsets, with the chosen leaves.
+    def entry(self, node: int) -> tuple:
+        """The memo entry of `node` entered with only itself visited."""
+        if node == self.tail:
+            return self.leaf
+        root = self.index[node]
+        found = self.memo[root].get(self.scc[root] & (1 << root))
+        if found is not None:
+            return found
+        memo, options, scc, leaf = self.memo, self.options, self.scc, self.leaf
+        tail = self.index[self.tail]
+        # a frame is [node, visited mask, next option, kept branches]
+        frames = [[root, 1 << root, 0, []]]
+        while True:
+            frame = frames[-1]
+            v, visited, pos, kept = frame
+            opts = options[v]
+            while pos < len(opts):
+                option = opts[pos]
+                w = option[0]
+                bit = 1 << w
+                if visited & bit:
+                    pos += 1
+                    continue
+                if w == tail:
+                    sub = leaf
+                else:
+                    sub = memo[w].get((visited | bit) & scc[w])
+                    if sub is None:
+                        frame[2] = pos  # come back for this option's entry
+                        frames.append([w, visited | bit, 0, []])
+                        break
+                pos += 1
+                if sub[1]:
+                    kept.append((option, sub))
+            else:
+                frames.pop()
+                result = self._combine(v, kept)
+                memo[v][visited & scc[v]] = result
+                if not frames:
+                    return result
 
-    Bottom-up: a leaf is worth its path value; a unary node passes its child
-    through; a branching split sums all children (their selections coexist);
-    a branching co-product keeps the best child, ties going to the smallest
-    child id. Branching anywhere else is a structural error.
-    """
-    def walk(node: TrieNode) -> tuple[Fraction, list[EmergyPath]]:
-        if node.leaf is not None:
-            return node.leaf.value, [node.leaf]
-        parts = [walk(node.children[k]) for k in sorted(node.children)]
-        if len(parts) == 1:
-            return parts[0]
-        kind = g.kind[node.node_id]
+    def _combine(self, v: int, kept: list) -> tuple:
+        """One step of the recursion over the live branches, ascending by id.
+
+        One branch passes through; a split adds its branches (their paths
+        coexist); a co-product keeps the first strictly best branch, so ties
+        go to the smallest successor id. Branching anywhere else is a
+        structural error.
+        """
+        if not kept:
+            return _DEAD
+        if len(kept) == 1:
+            (_, weight, _, _), (value, paths, witness, _) = kept[0]
+            return weight * value, paths, witness, kept
+        kind = self.kinds[v]
+        paths = sum(sub[1] for _, sub in kept)
         if kind is NodeKind.SPLIT:
-            total = sum((value for value, _ in parts), Fraction(0))
-            chosen = [p for _, sel in parts for p in sel]
-            return total, chosen
+            value = sum(option[1] * sub[0] for option, sub in kept)
+            return value, paths, sum(sub[2] for _, sub in kept), kept
         if kind is NodeKind.COPRODUCT:
-            best = parts[0]
-            for cand in parts[1:]:
-                if cand[0] > best[0]:
-                    best = cand
-            return best
-        raise ValueError(f"trie branches at {kind.value} node {node.node_id}")
+            best, best_value = None, None
+            for option, sub in kept:
+                value = option[1] * sub[0]
+                if best is None or value > best_value:
+                    best, best_value = (option, sub), value
+            return best_value, paths, best[1][2], [best]
+        raise ValueError(f"search branches at {kind.value} node {self.ids[v]}")
 
-    return walk(root)
+    def expand(self, node: int) -> Iterator[EmergyPath]:
+        """The kept paths from `node`, in lexicographic order.
+
+        The current path lives on one list and becomes a tuple only at a
+        leaf; path values are carried as an integer numerator and
+        denominator and become one `Fraction` per path.
+        """
+        root = self.entry(node)
+        if not root[1]:
+            return
+        ids, leaf, head = self.ids, self.leaf, self.head
+        scale = self.g.source_emergy.get(node, Fraction(1))
+        if root is leaf:
+            yield EmergyPath((node, head), scale * leaf[0])
+            return
+        last_num, last_den = leaf[0].numerator, leaf[0].denominator
+        path = [node]
+        frames = [(iter(root[3]), scale.numerator, scale.denominator)]
+        while frames:
+            branches, num, den = frames[-1]
+            for (w, _, w_num, w_den), sub in branches:
+                if sub is leaf:
+                    value = Fraction(num * w_num * last_num, den * w_den * last_den)
+                    yield EmergyPath((*path, ids[w], head), value)
+                else:
+                    path.append(ids[w])
+                    frames.append((iter(sub[3]), num * w_num, den * w_den))
+                    break
+            else:
+                frames.pop()
+                path.pop()
+
+    def solve(self, method: str = "cotree") -> SolveResult:
+        """Search from every source, ascending; the witness stays unexpanded."""
+        started = time.perf_counter()
+        value, paths, witness = Fraction(0), 0, 0
+        roots = []
+        for s in self.g.sources:
+            entry = self.entry(s)
+            if entry[1]:
+                value += self.g.source_emergy[s] * entry[0]
+                paths += entry[1]
+                witness += entry[2]
+                roots.append(s)
+        memo_entries = sum(len(m) for m in self.memo)
+        stats = SolveStats(paths, witness, memo_entries, time.perf_counter() - started)
+
+        def expand() -> Iterator[EmergyPath]:
+            for s in roots:
+                yield from self.expand(s)
+
+        return SolveResult(value, method, stats, expand)
 
 
 def solve_general(g: EmergyGraph, arc: tuple[int, int]) -> SolveResult:
-    """Maximum empower of `arc` by per-source trie evaluation.
+    """Maximum empower of `arc` by the memoized search.
 
-    Works on cyclic and acyclic graphs alike; the cost after enumeration is
-    linear in the total length of the enumerated paths. Returns value 0 with
-    an empty witness when no source reaches the arc.
+    Works on cyclic and acyclic graphs alike. Returns value 0 with an empty
+    witness when no source reaches the arc.
     """
-    started = time.perf_counter()
-    paths = enumerate_emergy_paths(g, arc)
-    total = Fraction(0)
-    chosen: list[EmergyPath] = []
-    sizes: list[int] = []
-    for _, group in groupby(paths, key=lambda p: p.source):
-        trie = build_source_trie(list(group))
-        sizes.append(trie.size())
-        value, selected = evaluate_trie(g, trie)
-        total += value
-        chosen.extend(selected)
-    stats = SolveStats(len(paths), tuple(sizes), time.perf_counter() - started)
-    return SolveResult(total, EmergyState.of(chosen), "cotree", stats)
+    return ArcSearch(g, arc).solve()
 
 
 def brute_force_solve(g: EmergyGraph, arc: tuple[int, int], cap: int = 20) -> SolveResult:
     """Exhaustive maximization over all pairwise-compatible path subsets.
 
-    The oracle the trie solver is tested against; refuses more than `cap`
+    The oracle the search is tested against; refuses more than `cap`
     paths. Ties are broken toward the lexicographically smallest path set.
     """
     started = time.perf_counter()
@@ -188,6 +286,6 @@ def brute_force_solve(g: EmergyGraph, arc: tuple[int, int], cap: int = 20) -> So
             grow(members + (i,), picked, remaining)
 
     grow((), Fraction(0), (1 << n) - 1)
-    state = EmergyState.of(paths[i] for i in best_members)
-    stats = SolveStats(n, (), time.perf_counter() - started)
-    return SolveResult(best_value, state, "brute", stats)
+    chosen = tuple(sorted(paths[i] for i in best_members))
+    stats = SolveStats(n, len(chosen), 0, time.perf_counter() - started)
+    return SolveResult(best_value, "brute", stats, lambda: iter(chosen))

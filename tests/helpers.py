@@ -2,18 +2,22 @@
 
 Everything here deliberately avoids the package's clever code paths: the
 path oracle enumerates every bounded walk and filters by the definition, the
-induced-path oracle scans raw vertex quadruples, and the subset maximizer
-grows compatible sets directly from the relation.
+induced-path oracle scans raw vertex quadruples, the subset maximizer grows
+compatible sets directly from the relation, and the trie oracle builds each
+source's prefix trie from the materialised paths and evaluates it bottom-up.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
+from typing import Sequence
 
 from empower.compat import CompatibilityGraph, compatible
 from empower.graph import EmergyGraph, NodeKind
-from empower.paths import path_value
+from empower.paths import EmergyPath, enumerate_emergy_paths, path_value
+from empower.solver import ArcSearch
 
 
 def satisfies_path_definition(g: EmergyGraph, seq: tuple[int, ...], arc: tuple[int, int]) -> bool:
@@ -120,10 +124,15 @@ def best_compatible_value(g: EmergyGraph, seqs: list[tuple[int, ...]]) -> Fracti
     return best
 
 
+def search_value_table(g: EmergyGraph, arc: tuple[int, int]) -> dict[int, Fraction]:
+    """f(i) for every node: the search's value from i entered alone (the
+    memo entry's first field), scaled by the emergy when i is a source."""
+    search = ArcSearch(g, arc)
+    return {i: g.source_emergy.get(i, 1) * search.entry(i)[0] for i in g.nodes}
+
+
 def arc_with_most_paths(g: EmergyGraph, max_paths: int | None = None) -> tuple[int, int] | None:
     """The arc carrying the most emergy paths (capped when asked), ties low."""
-    from empower.paths import enumerate_emergy_paths
-
     best_arc, best_count = None, -1
     for arc in sorted(g.arcs):
         count = len(enumerate_emergy_paths(g, arc))
@@ -132,3 +141,82 @@ def arc_with_most_paths(g: EmergyGraph, max_paths: int | None = None) -> tuple[i
         if count > best_count:
             best_arc, best_count = arc, count
     return best_arc
+
+
+@dataclass
+class TrieNode:
+    """One position in a per-source path trie; leaves carry whole paths."""
+
+    node_id: int
+    children: dict[int, "TrieNode"] = field(default_factory=dict)
+    leaf: EmergyPath | None = None
+
+    def size(self) -> int:
+        return 1 + sum(c.size() for c in self.children.values())
+
+
+def build_source_trie(paths: Sequence[EmergyPath]) -> TrieNode:
+    """Insert the paths of one source into a shared-prefix trie.
+
+    Raises when two paths are prefix-related (or duplicated): distinct
+    emergy paths ending with the same arc never are, because the earlier
+    occurrence of the arc tail would break simplicity, and the evaluation
+    below leans on leaves being exactly the paths.
+    """
+    if not paths:
+        raise ValueError("cannot build a trie from zero paths")
+    root = TrieNode(paths[0].nodes[0])
+    for p in paths:
+        if p.nodes[0] != root.node_id:
+            raise ValueError("paths of one trie must share their first node")
+        node = root
+        for nid in p.nodes[1:]:
+            if node.leaf is not None:
+                raise ValueError(f"path {node.leaf} is a strict prefix of {p}")
+            node = node.children.setdefault(nid, TrieNode(nid))
+        if node.leaf is not None or node.children:
+            raise ValueError(f"path {p} duplicates or prefixes another path")
+        node.leaf = p
+    return root
+
+
+def evaluate_trie(g: EmergyGraph, root: TrieNode) -> tuple[Fraction, list[EmergyPath]]:
+    """Best total value over compatible leaf subsets, with the chosen leaves.
+
+    Bottom-up: a leaf is worth its path value; a unary node passes its child
+    through; a branching split sums all children (their selections coexist);
+    a branching co-product keeps the best child, ties going to the smallest
+    child id. Branching anywhere else is a structural error.
+    """
+    def walk(node: TrieNode) -> tuple[Fraction, list[EmergyPath]]:
+        if node.leaf is not None:
+            return node.leaf.value, [node.leaf]
+        parts = [walk(node.children[k]) for k in sorted(node.children)]
+        if len(parts) == 1:
+            return parts[0]
+        kind = g.kind[node.node_id]
+        if kind is NodeKind.SPLIT:
+            total = sum((value for value, _ in parts), Fraction(0))
+            chosen = [p for _, sel in parts for p in sel]
+            return total, chosen
+        if kind is NodeKind.COPRODUCT:
+            best = parts[0]
+            for cand in parts[1:]:
+                if cand[0] > best[0]:
+                    best = cand
+            return best
+        raise ValueError(f"trie branches at {kind.value} node {node.node_id}")
+
+    return walk(root)
+
+
+def trie_solve(g: EmergyGraph, arc: tuple[int, int]) -> tuple[Fraction, tuple[EmergyPath, ...], int]:
+    """Optimum, sorted witness paths and path count by per-source tries."""
+    paths = enumerate_emergy_paths(g, arc)
+    total = Fraction(0)
+    chosen: list[EmergyPath] = []
+    for _, group in groupby(paths, key=lambda p: p.source):
+        value, selected = evaluate_trie(g, build_source_trie(list(group)))
+        total += value
+        chosen.extend(selected)
+    return total, tuple(sorted(chosen)), len(paths)

@@ -63,6 +63,15 @@ class TestValidateCommand:
         assert main(["validate", str(f)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["\u00b2", "\uff13"])
+    def test_non_ascii_id_exits_two(self, tmp_path, capsys, token):
+        f = tmp_path / "digits.eg"
+        f.write_text(f"node {token} source 1\n", encoding="utf-8")
+        assert main(["validate", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
     def test_missing_file_exits_two(self):
         with pytest.raises(SystemExit):
             main(["validate", "/nonexistent/file.eg"])
@@ -114,6 +123,29 @@ class TestSolveCommand:
         for method in ("auto", "dag", "cotree"):
             assert main(["solve", str(f), "--arc", "14,15", "--method", method]) == 0
             assert "Em = 7/3 (2.33)" in capsys.readouterr().out
+
+    def test_records_count_paths_without_expanding(self, tmp_path, capsys):
+        assert main(["gen", "--family", "diamond-chain", "--length", "30"]) == 0
+        f = tmp_path / "dc30.eg"
+        f.write_text(capsys.readouterr().out)
+        for method in ("auto", "dag", "cotree"):
+            assert main(["solve", str(f), "--arc", "92,93", "--method", method,
+                         "--format", "records"]) == 0
+            assert capsys.readouterr().out == (
+                f"solution arc=92,93 method={'cotree' if method == 'cotree' else 'dag'} "
+                "em=1 decimal=1.00 paths=1073741824 witness=1073741824\n")
+
+    def test_long_chain_state(self, tmp_path, capsys):
+        n = 3000
+        lines = ["node 1 source 7/3", f"node {n} output"]
+        lines += [f"node {i} split" for i in range(2, n)]
+        lines += [f"arc {i} {i + 1} 1" for i in range(1, n)]
+        f = tmp_path / "chain.eg"
+        f.write_text("\n".join(lines) + "\n")
+        assert main(["solve", str(f), "--arc", f"{n - 1},{n}", "--state"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["Em = 7/3 (2.33)", "state:"]
+        assert out[2:] == ["  " + ",".join(map(str, range(1, n + 1))) + " value=7/3"]
 
     def test_dag_method_on_cyclic_exits_three(self, capsys):
         assert main(["solve", TEXTBOOK, "--arc", "4,7", "--method", "dag"]) == 3

@@ -1,4 +1,4 @@
-"""Reverse-topological value table and the acyclic solver."""
+"""Per-node values of the search, reachability, and the acyclic solver."""
 
 from __future__ import annotations
 
@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from empower.dag import (
-    GraphCycleError,
-    compute_value_table,
-    reachability_to_target,
-    solve_dag,
-)
+from empower.dag import GraphCycleError, solve_dag
 from empower.generators import diamond_chain, random_dag
-from empower.graph import EmergyGraph, NodeKind
-from empower.solver import brute_force_solve, solve_general
-from helpers import arc_with_most_paths, best_compatible_value, rooted_simple_paths
+from empower.graph import EmergyGraph, NodeKind, reachability_to_target
+from empower.solver import ArcSearch, brute_force_solve, solve_general
+from helpers import (
+    arc_with_most_paths,
+    best_compatible_value,
+    rooted_simple_paths,
+    search_value_table,
+)
 
 
 def chain_graph() -> EmergyGraph:
@@ -63,19 +63,17 @@ class TestReachability:
 
 class TestValueTable:
     def test_split_example(self):
-        table = compute_value_table(two_way_graph(NodeKind.SPLIT), (3, 5))
-        assert table.values == {1: Fraction(10, 3), 2: Fraction(1, 3),
-                                3: Fraction(1), 4: Fraction(0), 5: Fraction(0)}
-        assert table.reachable == {1, 2, 3}
+        values = search_value_table(two_way_graph(NodeKind.SPLIT), (3, 5))
+        assert values == {1: Fraction(10, 3), 2: Fraction(1, 3),
+                          3: Fraction(1), 4: Fraction(0), 5: Fraction(0)}
 
     def test_coproduct_example(self):
-        table = compute_value_table(two_way_graph(NodeKind.COPRODUCT), (3, 5))
-        assert table.values[2] == 1
-        assert table.values[1] == 10
+        values = search_value_table(two_way_graph(NodeKind.COPRODUCT), (3, 5))
+        assert values[2] == 1
+        assert values[1] == 10
 
     def test_arc_tail_is_a_source(self, trivial):
-        table = compute_value_table(trivial, (1, 2))
-        assert table.values[1] == 5
+        assert search_value_table(trivial, (1, 2))[1] == 5
 
     def test_arc_tail_is_a_coproduct(self):
         g = EmergyGraph(
@@ -83,15 +81,16 @@ class TestValueTable:
              4: NodeKind.OUTPUT},
             {1: Fraction(7)},
             {(1, 2): Fraction(1), (2, 3): Fraction(1), (2, 4): Fraction(1)})
-        table = compute_value_table(g, (2, 3))
-        assert table.values[2] == 1
+        assert search_value_table(g, (2, 3))[2] == 1
         assert solve_dag(g, (2, 3)) == 7
 
     def test_cyclic_graph_raises(self, textbook):
-        with pytest.raises(GraphCycleError):
-            compute_value_table(textbook, (4, 7))
-        with pytest.raises(GraphCycleError):
+        assert not ArcSearch(textbook, (4, 7)).acyclic
+        with pytest.raises(GraphCycleError) as caught:
             solve_dag(textbook, (4, 7))
+        cycle = caught.value.cycle
+        assert cycle[0] == cycle[-1]
+        assert all(arc in textbook.arcs for arc in zip(cycle, cycle[1:]))
 
 
 class TestSolveDag:
@@ -139,7 +138,7 @@ class TestSolveDag:
     def test_table_matches_rooted_brute_force(self, seed):
         g = random_dag(4 + seed % 7, 0.5, seed)
         arc = arc_with_most_paths(g)
-        table = compute_value_table(g, arc)
+        values = search_value_table(g, arc)
         for i in g.nodes:
             rooted = rooted_simple_paths(g, i, arc)
-            assert table.values[i] == best_compatible_value(g, rooted)
+            assert values[i] == best_compatible_value(g, rooted)

@@ -83,6 +83,23 @@ class TestParse:
         with pytest.raises(ParseError, match="expected 'node' or 'arc'"):
             parse_graph("edge 1 2\n")
 
+    @pytest.mark.parametrize("text", [
+        "node \u00b2 source 1\n",              # superscript two: int() refuses it
+        "node \uff13 source 1\n",              # fullwidth three: int() reads it as 3
+        "node 1 source \uff13\n",
+        "node 1 source 1/\u00b2\n",
+        "node 1 source 1\nnode 2 output\narc 1 \u0662 1\n",  # Arabic-Indic two
+    ])
+    def test_non_ascii_digits_are_parse_errors(self, text):
+        with pytest.raises(ParseError, match="expected a"):
+            parse_graph(text)
+
+    def test_overlong_number_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="too long"):
+            parse_graph("node 1 source " + "7" * 5000 + "\n")
+        with pytest.raises(ParseError, match="too long"):
+            parse_graph("node " + "7" * 5000 + " output\n")
+
     def test_error_position(self):
         with pytest.raises(ParseError) as err:
             parse_graph("node 1 source 5\nnode 2 wat\n")
@@ -235,6 +252,36 @@ class TestTopologicalOrder:
         assert cycle[0] == cycle[-1] and len(cycle) >= 3
         for a, b in zip(cycle, cycle[1:]):
             assert (a, b) in g.arcs
+
+
+GRAMMAR_TOKENS = ["source", "split", "coproduct", "output", "#", "/", "1", "2", "3",
+                  "1/2", "-1", "0", "1/0", "\u00b2", "\uff13", "1/\u00b2", "x"]
+grammar_like = st.lists(
+    st.tuples(st.sampled_from(["node", "arc", ""]),
+              st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=4))
+    .map(lambda line: " ".join([line[0], *line[1]])),
+    max_size=8).map("\n".join)
+
+
+class TestParseTotality:
+    """Any text either parses or raises ParseError, never anything else."""
+
+    @staticmethod
+    def parses_or_refuses(text: str):
+        try:
+            parse_graph(text)
+        except ParseError:
+            pass
+
+    @given(st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text(self, text):
+        self.parses_or_refuses(text)
+
+    @given(grammar_like)
+    @settings(max_examples=300, deadline=None)
+    def test_grammar_like_text(self, text):
+        self.parses_or_refuses(text)
 
 
 rationals = st.fractions(min_value=-10**8, max_value=10**8, max_denominator=10**6)

@@ -59,6 +59,11 @@ class TestDigraph:
         with pytest.raises(ParseError, match="unrecognized"):
             parse_digraph("node 1 split\n")
 
+    @pytest.mark.parametrize("token", ["\u00b2", "\uff13"])
+    def test_non_ascii_vertex_ids_are_parse_errors(self, token):
+        with pytest.raises(ParseError, match="expected a vertex id"):
+            parse_digraph(f"vertex 1\nvertex {token}\nstart 1\ntarget 2\n")
+
 
 class TestBound:
     def test_small_counts(self):

@@ -1,4 +1,4 @@
-"""Prefix-trie solver, its brute-force oracle, and the solver properties."""
+"""The memoized search, its trie and brute-force oracles, and the solver properties."""
 
 from __future__ import annotations
 
@@ -9,17 +9,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from empower.compat import build_compatibility_graph, compatible, pairwise_compatible
-from empower.generators import diamond_chain, random_cyclic, random_dag, random_no_split_graph
-from empower.graph import EmergyGraph, NodeKind
+from empower.generators import (
+    diamond_chain,
+    random_cyclic,
+    random_dag,
+    random_digraph,
+    random_no_split_graph,
+)
+from empower.graph import EmergyGraph, NodeKind, reachability_to_target
+from empower.hardness import build_reduction
 from empower.paths import EmergyPath, enumerate_emergy_paths
-from empower.solver import (
+from empower.solver import brute_force_solve, solve_general
+from helpers import (
     TrieNode,
-    brute_force_solve,
+    arc_with_most_paths,
+    best_compatible_value,
     build_source_trie,
     evaluate_trie,
-    solve_general,
+    trie_solve,
 )
-from helpers import arc_with_most_paths, best_compatible_value
+
+
+def chain_graph(length: int, emergy: Fraction) -> tuple[EmergyGraph, tuple[int, int]]:
+    """Source 1, splits 2..length-1 in a line, output `length`: one path."""
+    kinds = {1: NodeKind.SOURCE, length: NodeKind.OUTPUT}
+    kinds.update({i: NodeKind.SPLIT for i in range(2, length)})
+    arcs = {(i, i + 1): Fraction(1) for i in range(1, length)}
+    return EmergyGraph(kinds, {1: emergy}, arcs), (length - 1, length)
+
+
+def family_instances(seed: int):
+    """One instance of every generator family (cyclic ones when they exist)."""
+    yield diamond_chain(seed % 6, Fraction(1 + seed % 5, 3))[0]
+    yield random_dag(4 + seed % 9, 0.5, seed)
+    try:
+        yield random_cyclic(6 + seed % 6, 0.5, 1 + seed % 3, seed)
+    except ValueError:
+        pass
+    yield random_no_split_graph(4 + seed % 7, seed)
+    yield build_reduction(random_digraph(2 + seed % 5, 0.5, seed)).graph
 
 
 def textbook_source_paths(textbook, source):
@@ -125,7 +153,12 @@ class TestSolveGeneral:
         result = solve_general(textbook, (4, 7))
         total_nodes = sum(
             len(p.nodes) for p in enumerate_emergy_paths(textbook, (4, 7)))
-        assert sum(result.stats.trie_sizes) <= total_nodes
+        assert result.stats.memo_entries <= total_nodes
+        # on a DAG every component is one node: one memo entry per node
+        g, arc = diamond_chain(30)
+        result = solve_general(g, arc)
+        assert result.stats.memo_entries <= len(g.nodes)
+        assert result.stats.path_count == result.stats.witness_count == 2 ** 30
 
     def test_unreachable_arc_gives_zero(self):
         g = EmergyGraph(
@@ -169,12 +202,53 @@ class TestSolveGeneral:
     def test_no_split_graphs_sum_reaching_sources(self, seed):
         g = random_no_split_graph(4 + seed % 7, seed)
         assert all(k is not NodeKind.SPLIT for k in g.kind.values())
-        from empower.dag import reachability_to_target
         for arc in sorted(g.arcs):
             reach = reachability_to_target(g, arc)
             expected = sum((g.source_emergy[s] for s in g.sources if s in reach),
                            Fraction(0))
             assert solve_general(g, arc).value == expected
+
+
+class TestAgainstOracles:
+    """The search against the trie oracle and brute force, arc by arc."""
+
+    def check(self, g, arc):
+        result = solve_general(g, arc)
+        value, witness, path_count = trie_solve(g, arc)
+        assert result.value == value
+        assert result.witness.paths == witness
+        assert result.stats.path_count == path_count
+        assert result.stats.witness_count == len(witness)
+        if path_count <= 16:
+            brute = brute_force_solve(g, arc)
+            assert brute.value == result.value
+            assert brute.witness.paths == result.witness.paths
+
+    def test_textbook_every_arc(self, textbook):
+        for arc in sorted(textbook.arcs):
+            self.check(textbook, arc)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_every_generator_family(self, seed):
+        for g in family_instances(seed):
+            for arc in sorted(g.arcs):
+                self.check(g, arc)
+
+    def test_long_chain_needs_no_recursion(self):
+        g, arc = chain_graph(3000, Fraction(7, 3))
+        result = solve_general(g, arc)
+        assert result.value == Fraction(7, 3)
+        assert [p.nodes for p in result.witness.paths] == [tuple(range(1, 3001))]
+        assert [p.nodes for p in enumerate_emergy_paths(g, arc)] == [tuple(range(1, 3001))]
+
+    def test_witness_streams_lazily(self):
+        g, arc = diamond_chain(40)
+        result = solve_general(g, arc)
+        assert result.stats.witness_count == 2 ** 40
+        first = next(result.witness_paths())
+        assert first.nodes[:4] == (1, 2, 3, 5)
+        assert first.value == Fraction(1, 2 ** 40)
 
 
 class TestBruteForce:
