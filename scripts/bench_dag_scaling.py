@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Measure the memoized search against the path-count explosion.
 
-Diamond chains double their emergy-path count per layer while every strongly
-connected component stays a single node, so `solve_general` keeps one memo
-entry per node and its time grows linearly with the layers. This prints the
+Diamond chains double their emergy-path count per layer but stay acyclic,
+so `solve_general` keeps one memo entry per node and its time grows
+linearly with the layers. This prints the
 solve time (value, path count and witness size, no witness expansion) next
 to the path count, up to the 2^30-path chain, and checks the closed forms:
 the value is the source emergy and every path is in the witness.
@@ -29,7 +29,7 @@ def main():
         assert result.value == theta
         assert result.stats.path_count == result.stats.witness_count == 2 ** layers
         print(f"{layers:>6} {len(g.nodes):>6} {2 ** layers:>12} "
-              f"{result.stats.memo_entries:>6} {elapsed * 1000:>11.2f}")
+              f"{result.stats.tree_nodes:>6} {elapsed * 1000:>11.2f}")
 
 
 if __name__ == "__main__":

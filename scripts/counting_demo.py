@@ -34,7 +34,7 @@ def main():
     empower = result.value
     exit_weight = inst.graph.arcs[inst.target_arc]
     print(f"Em(target arc) = {empower} ({result.stats.path_count} emergy paths, "
-          f"{result.stats.memo_entries} memo entries)")
+          f"{result.stats.tree_nodes} tree nodes)")
     print(f"rescaled expansion = {empower / exit_weight}")
     decoded = reduction_counts(d)
     direct = dfs_counts(d)

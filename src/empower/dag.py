@@ -1,16 +1,16 @@
 """Maximum empower on acyclic graphs.
 
-On a DAG every strongly connected component is a single node, so the
-memoized search of `empower.solver` enters each node once and its cost is
-linear in the graph. `solve_dag` is that search behind an acyclicity guard:
-it refuses a cyclic graph before searching and returns the value only.
+On a DAG the memoized search of `empower.solver` enters each node once,
+so its cost is linear in the graph. `solve_dag` is that search behind an
+acyclicity guard: it refuses a cyclic graph before searching and returns
+the value only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .graph import EmergyGraph, topological_order
+from .graph import EmergyGraph
 from .solver import ArcSearch
 
 
@@ -26,5 +26,5 @@ def solve_dag(g: EmergyGraph, arc: tuple[int, int]) -> Fraction:
     """Maximum empower of `arc` on an acyclic graph, without a witness."""
     search = ArcSearch(g, arc)
     if not search.acyclic:
-        raise GraphCycleError(topological_order(g).cycle)
+        raise GraphCycleError(search.cycle)
     return search.solve("dag").value

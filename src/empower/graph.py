@@ -81,59 +81,6 @@ class EmergyGraph:
     def nodes(self) -> tuple[int, ...]:
         return tuple(sorted(self.kind))
 
-    @cached_property
-    def components(self) -> tuple[int, ...]:
-        """Strongly connected components by Tarjan's algorithm, iteratively.
-
-        Node `nodes[i]` is bit i; entry i is the bit mask of that node's
-        component. The graph is acyclic exactly when every mask has one bit.
-        """
-        index = {v: i for i, v in enumerate(self.nodes)}
-        succ = [[index[w] for w in self.succ[v]] for v in self.nodes]
-        n = len(succ)
-        order = [-1] * n
-        low = [0] * n
-        on_stack = [False] * n
-        stack: list[int] = []
-        masks = [0] * n
-        counter = 0
-        for root in range(n):
-            if order[root] >= 0:
-                continue
-            order[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack[root] = True
-            work = [(root, iter(succ[root]))]
-            while work:
-                v, successors = work[-1]
-                for w in successors:
-                    if order[w] < 0:
-                        order[w] = low[w] = counter
-                        counter += 1
-                        stack.append(w)
-                        on_stack[w] = True
-                        work.append((w, iter(succ[w])))
-                        break
-                    if on_stack[w] and order[w] < low[v]:
-                        low[v] = order[w]
-                else:
-                    work.pop()
-                    if work:
-                        u = work[-1][0]
-                        low[u] = min(low[u], low[v])
-                    if low[v] == order[v]:
-                        mask, w = 0, -1
-                        members = []
-                        while w != v:
-                            w = stack.pop()
-                            on_stack[w] = False
-                            mask |= 1 << w
-                            members.append(w)
-                        for w in members:
-                            masks[w] = mask
-        return tuple(masks)
-
     @property
     def sources(self) -> tuple[int, ...]:
         return tuple(i for i in self.nodes if self.kind[i] is NodeKind.SOURCE)

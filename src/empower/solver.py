@@ -3,24 +3,25 @@
 The emergy paths of one source, laid out as a prefix tree, decompose the
 compatibility structure exactly: branches under a split node are mutually
 compatible (take them all, add), branches under a co-product are mutually
-exclusive (take the best one). That prefix tree is the search tree of a
-depth-first path search, so `solve_general` evaluates the recursion inside
-one search per source instead of materialising the paths first.
+exclusive (take the best one). `solve_general` evaluates that recursion in
+one of two ways, chosen by whether the graph has a cycle.
 
-A simple path that leaves a strongly connected component never comes back to
-it, so what the search finds below a node depends only on the visited nodes
-inside that node's component. Results are memoized on (node, visited nodes
-of its component). On an acyclic graph every component is one node and the
-search visits each node once; inside a cycle the cost stays exponential in
-the component's size, as it must (counting simple paths reduces to this
-problem, see `empower.hardness`).
+On an acyclic graph the prefix tree is the search tree of a depth-first
+path search, and what the search finds below a node does not depend on the
+path that led there. The search is memoized per node, visits each node
+once, and never lists the paths: the witness, which can hold exponentially
+many paths (2^k on a diamond chain of k layers), stays in the memo as the
+branches each entry kept and becomes paths only when asked for, one at a
+time, already in lexicographic order.
 
-The witness, an optimal set of compatible paths, can hold exponentially
-many paths (2^k on a diamond chain of k layers). The memo keeps it as the
-branches each entry kept; it becomes paths only when asked for, one at a
-time, already in lexicographic order. `brute_force_solve`
-maximizes over all compatible subsets directly and exists purely as an
-oracle for small instances.
+On a graph with a cycle, what lies below a node depends on the nodes
+visited before it, and the cost stays exponential (counting simple paths
+reduces to this problem, see `empower.hardness`). There the emergy paths
+are enumerated, in lexicographic order, and their prefix tree is evaluated
+bottom-up in one pass over the sorted list, without building it.
+
+`brute_force_solve` maximizes over all compatible subsets directly and
+exists purely as an oracle for small instances.
 """
 
 from __future__ import annotations
@@ -32,7 +33,13 @@ from functools import cached_property
 from typing import Callable, Iterator
 
 from .compat import compatible
-from .graph import EmergyGraph, NodeKind, reachability_to_target, require_arc
+from .graph import (
+    EmergyGraph,
+    NodeKind,
+    reachability_to_target,
+    require_arc,
+    topological_order,
+)
 from .paths import EmergyPath, enumerate_emergy_paths
 
 
@@ -46,11 +53,13 @@ class EmergyState:
 
 @dataclass(frozen=True)
 class SolveStats:
-    """What a solve did: emergy paths of the arc, witness paths, memo size."""
+    """What a solve did: emergy paths of the arc, witness paths, and nodes
+    of the evaluated tree (memo entries on an acyclic graph, prefix-tree
+    nodes of the enumerated paths on a cyclic one)."""
 
     path_count: int
     witness_count: int
-    memo_entries: int
+    tree_nodes: int
     elapsed: float
 
 
@@ -69,6 +78,28 @@ class SolveResult:
         return EmergyState(tuple(self.witness_paths()), self.value)
 
 
+def _combine(kind: NodeKind, node: int, values: list[Fraction]) -> tuple[Fraction, int | None]:
+    """One step of the recursion over a node's live branches, ascending by id.
+
+    Returns the node's value and the index of the one branch it keeps, or
+    None when it keeps them all. One branch passes through; a split adds its
+    branches (their paths coexist); a co-product keeps the first strictly
+    best branch, so ties go to the smallest successor id. Branching anywhere
+    else is a structural error.
+    """
+    if len(values) == 1:
+        return values[0], None
+    if kind is NodeKind.SPLIT:
+        return sum(values), None
+    if kind is NodeKind.COPRODUCT:
+        best = 0
+        for i in range(1, len(values)):
+            if values[i] > values[best]:
+                best = i
+        return values[best], best
+    raise ValueError(f"search branches at {kind.value} node {node}")
+
+
 # A memo entry is (value, paths, witness paths, kept branches); a branch is
 # (option, the successor's entry), where an option is (successor index, arc
 # weight, its numerator, its denominator). Values are relative to the
@@ -78,23 +109,24 @@ _DEAD = (Fraction(0), 0, 0, ())
 
 
 class ArcSearch:
-    """The memoized path search for one query arc.
+    """The solver for one query arc.
 
-    Construction costs one pass over the graph: nodes get bit indices and
-    the nodes that can reach the arc tail are found; the graph's strongly
-    connected components (computed once per graph) also tell whether it is
-    acyclic. The search itself runs on demand, once per start node, and all
-    start nodes share one memo. Assumes a valid graph: positive weights,
-    sources without predecessors.
+    Construction costs two passes over the graph: a topological order, which
+    tells whether the graph is acyclic, and the nodes that can reach the arc
+    tail. On an acyclic graph the memoized search runs on demand, once per
+    start node, and all start nodes share one memo; on a cyclic graph
+    `solve` evaluates the enumerated paths instead. Assumes a valid graph:
+    positive weights, sources without predecessors.
     """
 
     def __init__(self, g: EmergyGraph, arc: tuple[int, int]):
         self.g = g
         self.tail, self.head = require_arc(g, arc)
+        topo = topological_order(g)
+        self.acyclic = topo.order is not None
+        self.cycle = topo.cycle
         self.ids = g.nodes
         self.index = index = {v: i for i, v in enumerate(self.ids)}
-        self.scc = g.components
-        self.acyclic = all(m & (m - 1) == 0 for m in self.scc)
         # the search enters only nodes that reach the tail, and stops there
         live = reachability_to_target(g, (self.tail, self.head))
         arcs = g.arcs
@@ -104,76 +136,54 @@ class ArcSearch:
             if v in live and v != self.tail else []
             for v in self.ids]
         self.kinds = [g.kind[v] for v in self.ids]
-        self.memo: list[dict[int, tuple]] = [{} for _ in self.ids]
+        self.memo: list[tuple | None] = [None] * len(self.ids)
         self.leaf = (arcs[self.tail, self.head], 1, 1, ())
 
     def entry(self, node: int) -> tuple:
-        """The memo entry of `node` entered with only itself visited."""
+        """The memo entry of `node` on an acyclic graph."""
+        if not self.acyclic:
+            raise ValueError("the memoized search needs an acyclic graph")
         if node == self.tail:
             return self.leaf
         root = self.index[node]
-        found = self.memo[root].get(self.scc[root] & (1 << root))
+        found = self.memo[root]
         if found is not None:
             return found
-        memo, options, scc, leaf = self.memo, self.options, self.scc, self.leaf
+        memo, options, leaf = self.memo, self.options, self.leaf
         tail = self.index[self.tail]
-        # a frame is [node, visited mask, next option, kept branches]
-        frames = [[root, 1 << root, 0, []]]
+        # a frame is [node, next option, kept branches]
+        frames = [[root, 0, []]]
         while True:
             frame = frames[-1]
-            v, visited, pos, kept = frame
+            v, pos, kept = frame
             opts = options[v]
             while pos < len(opts):
                 option = opts[pos]
                 w = option[0]
-                bit = 1 << w
-                if visited & bit:
-                    pos += 1
-                    continue
-                if w == tail:
-                    sub = leaf
-                else:
-                    sub = memo[w].get((visited | bit) & scc[w])
-                    if sub is None:
-                        frame[2] = pos  # come back for this option's entry
-                        frames.append([w, visited | bit, 0, []])
-                        break
+                sub = leaf if w == tail else memo[w]
+                if sub is None:
+                    frame[1] = pos  # come back for this option's entry
+                    frames.append([w, 0, []])
+                    break
                 pos += 1
                 if sub[1]:
                     kept.append((option, sub))
             else:
                 frames.pop()
-                result = self._combine(v, kept)
-                memo[v][visited & scc[v]] = result
+                memo[v] = result = self._entry_of(v, kept)
                 if not frames:
                     return result
 
-    def _combine(self, v: int, kept: list) -> tuple:
-        """One step of the recursion over the live branches, ascending by id.
-
-        One branch passes through; a split adds its branches (their paths
-        coexist); a co-product keeps the first strictly best branch, so ties
-        go to the smallest successor id. Branching anywhere else is a
-        structural error.
-        """
+    def _entry_of(self, v: int, kept: list) -> tuple:
+        """The memo entry of node index `v` from its live branches."""
         if not kept:
             return _DEAD
-        if len(kept) == 1:
-            (_, weight, _, _), (value, paths, witness, _) = kept[0]
-            return weight * value, paths, witness, kept
-        kind = self.kinds[v]
+        value, best = _combine(self.kinds[v], self.ids[v],
+                               [option[1] * sub[0] for option, sub in kept])
         paths = sum(sub[1] for _, sub in kept)
-        if kind is NodeKind.SPLIT:
-            value = sum(option[1] * sub[0] for option, sub in kept)
+        if best is None:
             return value, paths, sum(sub[2] for _, sub in kept), kept
-        if kind is NodeKind.COPRODUCT:
-            best, best_value = None, None
-            for option, sub in kept:
-                value = option[1] * sub[0]
-                if best is None or value > best_value:
-                    best, best_value = (option, sub), value
-            return best_value, paths, best[1][2], [best]
-        raise ValueError(f"search branches at {kind.value} node {self.ids[v]}")
+        return value, paths, kept[best][1][2], [kept[best]]
 
     def expand(self, node: int) -> Iterator[EmergyPath]:
         """The kept paths from `node`, in lexicographic order.
@@ -208,8 +218,17 @@ class ArcSearch:
                 path.pop()
 
     def solve(self, method: str = "cotree") -> SolveResult:
-        """Search from every source, ascending; the witness stays unexpanded."""
+        """Solve from every source, ascending.
+
+        On an acyclic graph the witness stays unexpanded until asked for.
+        """
         started = time.perf_counter()
+        if not self.acyclic:
+            paths = enumerate_emergy_paths(self.g, (self.tail, self.head))
+            value, kept, tree_nodes = self._evaluate(paths)
+            stats = SolveStats(len(paths), len(kept), tree_nodes,
+                               time.perf_counter() - started)
+            return SolveResult(value, method, stats, lambda: iter(kept))
         value, paths, witness = Fraction(0), 0, 0
         roots = []
         for s in self.g.sources:
@@ -219,8 +238,8 @@ class ArcSearch:
                 paths += entry[1]
                 witness += entry[2]
                 roots.append(s)
-        memo_entries = sum(len(m) for m in self.memo)
-        stats = SolveStats(paths, witness, memo_entries, time.perf_counter() - started)
+        tree_nodes = sum(entry is not None for entry in self.memo)
+        stats = SolveStats(paths, witness, tree_nodes, time.perf_counter() - started)
 
         def expand() -> Iterator[EmergyPath]:
             for s in roots:
@@ -228,12 +247,48 @@ class ArcSearch:
 
         return SolveResult(value, method, stats, expand)
 
+    def _evaluate(self, paths: list[EmergyPath]) -> tuple[Fraction, list[EmergyPath], int]:
+        """The value, kept paths and tree size of the paths' prefix trees.
+
+        The paths come in lexicographic order, so the trees are walked with
+        one stack of open nodes, each holding the (value, kept paths) of its
+        closed children: a path closes the open nodes below its common
+        prefix with the previous path, opens the rest of its own, and joins
+        the last one as a leaf. Path values are whole, so a closed node only
+        combines its children; a closed root adds to the total.
+        """
+        value, kept, tree_nodes = Fraction(0), [], 0
+        stack: list[tuple[int, list]] = []
+        previous: tuple[int, ...] = ()
+        for p in [*paths, None]:
+            nodes = p.nodes if p is not None else ()
+            common, limit = 0, min(len(previous), len(nodes)) - 1
+            while common < limit and previous[common] == nodes[common]:
+                common += 1
+            while len(stack) > common:
+                node, children = stack.pop()
+                total, best = _combine(self.g.kind[node], node, [v for v, _ in children])
+                chosen = ([q for _, part in children for q in part] if best is None
+                          else children[best][1])
+                if stack:
+                    stack[-1][1].append((total, chosen))
+                else:
+                    value += total
+                    kept += chosen
+            if p is None:
+                break
+            tree_nodes += len(nodes) - common
+            stack.extend((v, []) for v in nodes[common:-1])
+            stack[-1][1].append((p.value, [p]))
+            previous = nodes
+        return value, kept, tree_nodes
+
 
 def solve_general(g: EmergyGraph, arc: tuple[int, int]) -> SolveResult:
-    """Maximum empower of `arc` by the memoized search.
+    """Maximum empower of `arc`: the memoized search on an acyclic graph,
+    the enumerated paths' prefix trees on a cyclic one.
 
-    Works on cyclic and acyclic graphs alike. Returns value 0 with an empty
-    witness when no source reaches the arc.
+    Returns value 0 with an empty witness when no source reaches the arc.
     """
     return ArcSearch(g, arc).solve()
 

@@ -85,7 +85,10 @@ class TestValueTable:
         assert solve_dag(g, (2, 3)) == 7
 
     def test_cyclic_graph_raises(self, textbook):
-        assert not ArcSearch(textbook, (4, 7)).acyclic
+        search = ArcSearch(textbook, (4, 7))
+        assert not search.acyclic
+        with pytest.raises(ValueError, match="needs an acyclic graph"):
+            search.entry(1)
         with pytest.raises(GraphCycleError) as caught:
             solve_dag(textbook, (4, 7))
         cycle = caught.value.cycle

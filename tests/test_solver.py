@@ -153,11 +153,11 @@ class TestSolveGeneral:
         result = solve_general(textbook, (4, 7))
         total_nodes = sum(
             len(p.nodes) for p in enumerate_emergy_paths(textbook, (4, 7)))
-        assert result.stats.memo_entries <= total_nodes
-        # on a DAG every component is one node: one memo entry per node
+        assert result.stats.tree_nodes <= total_nodes
+        # on a DAG the search keeps one memo entry per node
         g, arc = diamond_chain(30)
         result = solve_general(g, arc)
-        assert result.stats.memo_entries <= len(g.nodes)
+        assert result.stats.tree_nodes <= len(g.nodes)
         assert result.stats.path_count == result.stats.witness_count == 2 ** 30
 
     def test_unreachable_arc_gives_zero(self):
