@@ -33,8 +33,10 @@ def main():
     result = solve_general(inst.graph, inst.target_arc)
     empower = result.value
     exit_weight = inst.graph.arcs[inst.target_arc]
+    # one search frame per memo entry on an acyclic instance, one per path
+    # prefix entered on a cyclic one
     print(f"Em(target arc) = {empower} ({result.stats.path_count} emergy paths, "
-          f"{result.stats.tree_nodes} tree nodes)")
+          f"{result.stats.tree_nodes} search frames)")
     print(f"rescaled expansion = {empower / exit_weight}")
     decoded = reduction_counts(d)
     direct = dfs_counts(d)

@@ -53,6 +53,16 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("value must not be negative")
+    return value
+
+
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -260,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", type=_positive_rational, default=None, metavar="P/Q",
                    help="also print empower = value / period")
     p.add_argument("--format", choices=["text", "records"], default="text")
-    p.add_argument("--places", type=int, default=2, help="decimal places in renderings")
+    p.add_argument("--places", type=_non_negative_int, default=2,
+                   help="decimal places in renderings")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check-cograph",

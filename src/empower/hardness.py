@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import EmergyGraph, NodeKind, ParseError, parse_id
@@ -25,12 +25,14 @@ from .solver import solve_general
 
 @dataclass(frozen=True)
 class Digraph:
-    """A counting instance: directed graph with start and target vertices."""
+    """A counting instance: directed graph with start and target vertices,
+    with successor lists precomputed and sorted ascending."""
 
     vertices: frozenset[int]
     arcs: frozenset[tuple[int, int]]
     start: int
     target: int
+    succ: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.start == self.target:
@@ -38,17 +40,20 @@ class Digraph:
         for v in (self.start, self.target):
             if v not in self.vertices:
                 raise ValueError(f"vertex {v} not declared")
+        succ: dict[int, list[int]] = {v: [] for v in self.vertices}
         for a, b in self.arcs:
             if a == b:
                 raise ValueError(f"self-loop arc ({a}, {b})")
             if a not in self.vertices or b not in self.vertices:
                 raise ValueError(f"arc ({a}, {b}) touches an undeclared vertex")
+            succ[a].append(b)
+        object.__setattr__(self, "succ", {v: tuple(sorted(w)) for v, w in succ.items()})
 
     def successors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(b for a, b in self.arcs if a == v))
+        return self.succ[v]
 
     def out_degree(self, v: int) -> int:
-        return sum(1 for a, _ in self.arcs if a == v)
+        return len(self.succ[v])
 
 
 @dataclass(frozen=True)
@@ -197,22 +202,23 @@ def decode_counts(value: Fraction, base: int, max_arcs: int) -> PathCountVector:
 
 
 def enumerate_simple_paths(d: Digraph) -> list[tuple[int, ...]]:
-    """All simple start-to-target vertex sequences, by backtracking."""
+    """All simple start-to-target vertex sequences, by iterative
+    backtracking with successors ascending, so they come out sorted."""
     found: list[tuple[int, ...]] = []
-    succ = {v: d.successors(v) for v in d.vertices}
-
-    def walk(node: int, prefix: tuple[int, ...], seen: set[int]):
-        if node == d.target:
-            found.append(prefix)
-            return
-        for nxt in succ[node]:
-            if nxt in seen:
-                continue
+    path = [d.start]
+    seen = {d.start}
+    frames = [iter(d.successors(d.start))]
+    while frames:
+        nxt = next(frames[-1], None)
+        if nxt is None:
+            frames.pop()
+            seen.discard(path.pop())
+        elif nxt == d.target:
+            found.append((*path, nxt))
+        elif nxt not in seen:
+            path.append(nxt)
             seen.add(nxt)
-            walk(nxt, prefix + (nxt,), seen)
-            seen.remove(nxt)
-
-    walk(d.start, (d.start,), {d.start})
+            frames.append(iter(d.successors(nxt)))
     return found
 
 

@@ -84,11 +84,11 @@ def enumerate_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> list[EmergyP
     check, which is the one permitted repetition. Path values are carried as
     an integer numerator and denominator and become one `Fraction` per path.
 
-    This is the plain enumeration the compatibility graph, the brute-force
-    oracle and `solve_general` on cyclic graphs are built on; on acyclic
-    graphs `solve_general` never materialises the paths. Assumes a valid
-    graph (sources have no predecessors, so interior nodes are never
-    sources). Returns an empty list when no source reaches the arc.
+    This is the plain enumeration the compatibility graph and the
+    brute-force oracle are built on; `solve_general` never materialises
+    the paths. Assumes a valid graph (sources have no predecessors, so
+    interior nodes are never sources). Returns an empty list when no source
+    reaches the arc.
     """
     tail, head = require_arc(g, arc)
     arc_weight = g.arcs[(tail, head)]

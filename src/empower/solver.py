@@ -3,22 +3,19 @@
 The emergy paths of one source, laid out as a prefix tree, decompose the
 compatibility structure exactly: branches under a split node are mutually
 compatible (take them all, add), branches under a co-product are mutually
-exclusive (take the best one). `solve_general` evaluates that recursion in
-one of two ways, chosen by whether the graph has a cycle.
+exclusive (take the best one). `solve_general` evaluates that recursion
+with one iterative depth-first path search per source, whose search tree
+is that prefix tree, and never lists the paths: the witness, which can hold
+exponentially many paths (2^k on a diamond chain of k layers), stays in the
+search's entries as the branches each one kept and becomes paths only when
+asked for, one at a time, already in lexicographic order.
 
-On an acyclic graph the prefix tree is the search tree of a depth-first
-path search, and what the search finds below a node does not depend on the
-path that led there. The search is memoized per node, visits each node
-once, and never lists the paths: the witness, which can hold exponentially
-many paths (2^k on a diamond chain of k layers), stays in the memo as the
-branches each entry kept and becomes paths only when asked for, one at a
-time, already in lexicographic order.
-
-On a graph with a cycle, what lies below a node depends on the nodes
-visited before it, and the cost stays exponential (counting simple paths
-reduces to this problem, see `empower.hardness`). There the emergy paths
-are enumerated, in lexicographic order, and their prefix tree is evaluated
-bottom-up in one pass over the sorted list, without building it.
+On an acyclic graph what the search finds below a node does not depend on
+the path that led there, so the search is memoized per node and visits
+each node once. On a graph with a cycle it does depend on it: the search
+skips the successors already on the current path, memoizes nothing, and
+its cost stays exponential (counting simple paths reduces to this problem,
+see `empower.hardness`).
 
 `brute_force_solve` maximizes over all compatible subsets directly and
 exists purely as an oracle for small instances.
@@ -30,6 +27,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Callable, Iterator
 
 from .compat import compatible
@@ -53,9 +51,9 @@ class EmergyState:
 
 @dataclass(frozen=True)
 class SolveStats:
-    """What a solve did: emergy paths of the arc, witness paths, and nodes
-    of the evaluated tree (memo entries on an acyclic graph, prefix-tree
-    nodes of the enumerated paths on a cyclic one)."""
+    """What a solve did: emergy paths of the arc, witness paths, and the
+    search's frames (one per memo entry on an acyclic graph, one per path
+    prefix entered on a cyclic one)."""
 
     path_count: int
     witness_count: int
@@ -78,34 +76,16 @@ class SolveResult:
         return EmergyState(tuple(self.witness_paths()), self.value)
 
 
-def _combine(kind: NodeKind, node: int, values: list[Fraction]) -> tuple[Fraction, int | None]:
-    """One step of the recursion over a node's live branches, ascending by id.
-
-    Returns the node's value and the index of the one branch it keeps, or
-    None when it keeps them all. One branch passes through; a split adds its
-    branches (their paths coexist); a co-product keeps the first strictly
-    best branch, so ties go to the smallest successor id. Branching anywhere
-    else is a structural error.
-    """
-    if len(values) == 1:
-        return values[0], None
-    if kind is NodeKind.SPLIT:
-        return sum(values), None
-    if kind is NodeKind.COPRODUCT:
-        best = 0
-        for i in range(1, len(values)):
-            if values[i] > values[best]:
-                best = i
-        return values[best], best
-    raise ValueError(f"search branches at {kind.value} node {node}")
-
-
-# A memo entry is (value, paths, witness paths, kept branches); a branch is
-# (option, the successor's entry), where an option is (successor index, arc
-# weight, its numerator, its denominator). Values are relative to the
-# entry's node: products of the arc weights below it, summed over the kept
-# paths.
-_DEAD = (Fraction(0), 0, 0, ())
+# An entry is one flat tuple (value numerator, value denominator, paths,
+# witness paths, option, entry, option, entry, ...): each kept branch is an
+# option, (successor index, arc weight numerator, its denominator), followed
+# by the successor's entry. Values are relative to the entry's node: products
+# of the arc weights below it, summed over the kept paths. Products stay
+# unreduced and only sums are reduced, so the search builds no `Fraction`,
+# which costs more per step than the arithmetic. The tuple is flat because
+# on a cyclic graph the search keeps an entry per path prefix, and the
+# garbage collector walks every container that stays alive.
+_DEAD = (0, 1, 0, 0)
 
 
 class ArcSearch:
@@ -113,10 +93,10 @@ class ArcSearch:
 
     Construction costs two passes over the graph: a topological order, which
     tells whether the graph is acyclic, and the nodes that can reach the arc
-    tail. On an acyclic graph the memoized search runs on demand, once per
-    start node, and all start nodes share one memo; on a cyclic graph
-    `solve` evaluates the enumerated paths instead. Assumes a valid graph:
-    positive weights, sources without predecessors.
+    tail. The search runs on demand, once per start node. On an acyclic
+    graph all start nodes share one memo; on a cyclic graph every start
+    node gets a fresh search. Assumes a valid graph: positive weights,
+    sources without predecessors.
     """
 
     def __init__(self, g: EmergyGraph, arc: tuple[int, int]):
@@ -131,162 +111,161 @@ class ArcSearch:
         live = reachability_to_target(g, (self.tail, self.head))
         arcs = g.arcs
         self.options = [
-            [(index[w], arcs[v, w], arcs[v, w].numerator, arcs[v, w].denominator)
+            [(index[w], arcs[v, w].numerator, arcs[v, w].denominator)
              for w in g.succ[v] if w in live]
             if v in live and v != self.tail else []
             for v in self.ids]
         self.kinds = [g.kind[v] for v in self.ids]
+        # the entries that do not depend on the path that led to their node:
+        # every node's on an acyclic graph, only the arc tail's on a cyclic one
         self.memo: list[tuple | None] = [None] * len(self.ids)
-        self.leaf = (arcs[self.tail, self.head], 1, 1, ())
+        last = arcs[self.tail, self.head]
+        self.leaf = (last.numerator, last.denominator, 1, 1)
+        self.memo[index[self.tail]] = self.leaf
+        # the nodes on the path the search is on, which the path may not
+        # enter again; all false between searches, and on an acyclic graph
+        # no successor is ever on it
+        self.on_path = [False] * len(self.ids)
+        self.frame_count = 0
 
     def entry(self, node: int) -> tuple:
-        """The memo entry of `node` on an acyclic graph."""
-        if not self.acyclic:
-            raise ValueError("the memoized search needs an acyclic graph")
-        if node == self.tail:
-            return self.leaf
+        """The search's entry for `node` as the first node of the paths:
+        the memo entry on an acyclic graph, a fresh search on a cyclic one."""
         root = self.index[node]
-        found = self.memo[root]
+        memo = self.memo
+        found = memo[root]
         if found is not None:
             return found
-        memo, options, leaf = self.memo, self.options, self.leaf
-        tail = self.index[self.tail]
-        # a frame is [node, next option, kept branches]
-        frames = [[root, 0, []]]
+        options, acyclic, on_path = self.options, self.acyclic, self.on_path
+        on_path[root] = True
+        # a frame is [node, next option, kept branches flat, the option leading to it]
+        frames = [[root, 0, [], None]]
+        self.frame_count += 1
         while True:
             frame = frames[-1]
-            v, pos, kept = frame
+            v, pos, kept, _ = frame
             opts = options[v]
             while pos < len(opts):
                 option = opts[pos]
-                w = option[0]
-                sub = leaf if w == tail else memo[w]
-                if sub is None:
-                    frame[1] = pos  # come back for this option's entry
-                    frames.append([w, 0, []])
-                    break
                 pos += 1
-                if sub[1]:
-                    kept.append((option, sub))
+                w = option[0]
+                if on_path[w]:
+                    continue
+                sub = memo[w]
+                if sub is None:
+                    frame[1] = pos
+                    on_path[w] = True
+                    frames.append([w, 0, [], option])
+                    self.frame_count += 1
+                    break
+                if sub[2]:
+                    kept += option, sub
             else:
                 frames.pop()
-                memo[v] = result = self._entry_of(v, kept)
+                on_path[v] = False
+                result = self._entry_of(v, kept)
+                if acyclic:
+                    memo[v] = result
                 if not frames:
                     return result
+                if result[2]:
+                    frames[-1][2] += frame[3], result
 
     def _entry_of(self, v: int, kept: list) -> tuple:
-        """The memo entry of node index `v` from its live branches."""
+        """The entry of node index `v` from its live branches, ascending by id
+        and flat (option, entry, option, entry, ...).
+
+        One branch passes through; a split adds its branches (their paths
+        coexist) and reduces the sum; a co-product keeps the first strictly
+        best branch, so ties go to the smallest successor id. Branching
+        anywhere else is a structural error.
+        """
         if not kept:
             return _DEAD
-        value, best = _combine(self.kinds[v], self.ids[v],
-                               [option[1] * sub[0] for option, sub in kept])
-        paths = sum(sub[1] for _, sub in kept)
-        if best is None:
-            return value, paths, sum(sub[2] for _, sub in kept), kept
-        return value, paths, kept[best][1][2], [kept[best]]
+        if len(kept) == 2:
+            (_, w_num, w_den), sub = kept
+            return w_num * sub[0], w_den * sub[1], sub[2], sub[3], *kept
+        kind, paths, branches = self.kinds[v], 0, iter(kept)
+        if kind is NodeKind.SPLIT:
+            num, den, witness = 0, 1, 0
+            for (_, w_num, w_den), sub in zip(branches, branches):
+                n, d = w_num * sub[0], w_den * sub[1]
+                num, den = num * d + n * den, den * d
+                paths += sub[2]
+                witness += sub[3]
+            common = gcd(num, den)
+            return num // common, den // common, paths, witness, *kept
+        if kind is NodeKind.COPRODUCT:
+            best, num, den = None, 0, 1
+            for option, sub in zip(branches, branches):
+                n, d = option[1] * sub[0], option[2] * sub[1]
+                paths += sub[2]
+                if best is None or n * den > num * d:
+                    best, num, den = (option, sub), n, d
+            return num, den, paths, best[1][3], *best
+        raise ValueError(f"search branches at {kind.value} node {self.ids[v]}")
 
-    def expand(self, node: int) -> Iterator[EmergyPath]:
-        """The kept paths from `node`, in lexicographic order.
+    def expand(self, node: int, root: tuple) -> Iterator[EmergyPath]:
+        """The kept paths of `root`, the entry of `node`, in lexicographic order.
 
         The current path lives on one list and becomes a tuple only at a
         leaf; path values are carried as an integer numerator and
-        denominator and become one `Fraction` per path.
+        denominator and become one `Fraction` per path. A frame is [entry,
+        index of its next branch, numerator, denominator]: indexing the flat
+        entry allocates nothing per branch, where pairing it up would.
         """
-        root = self.entry(node)
-        if not root[1]:
-            return
         ids, leaf, head = self.ids, self.leaf, self.head
         scale = self.g.source_emergy.get(node, Fraction(1))
+        last_num, last_den = leaf[0], leaf[1]
         if root is leaf:
-            yield EmergyPath((node, head), scale * leaf[0])
+            yield EmergyPath((node, head), Fraction(scale.numerator * last_num,
+                                                    scale.denominator * last_den))
             return
-        last_num, last_den = leaf[0].numerator, leaf[0].denominator
         path = [node]
-        frames = [(iter(root[3]), scale.numerator, scale.denominator)]
+        frames = [[root, 4, scale.numerator, scale.denominator]]
         while frames:
-            branches, num, den = frames[-1]
-            for (w, _, w_num, w_den), sub in branches:
+            frame = frames[-1]
+            entry, i, num, den = frame
+            while i < len(entry):
+                (w, w_num, w_den), sub = entry[i], entry[i + 1]
+                i += 2
                 if sub is leaf:
                     value = Fraction(num * w_num * last_num, den * w_den * last_den)
                     yield EmergyPath((*path, ids[w], head), value)
                 else:
+                    frame[1] = i
                     path.append(ids[w])
-                    frames.append((iter(sub[3]), num * w_num, den * w_den))
+                    frames.append([sub, 4, num * w_num, den * w_den])
                     break
             else:
                 frames.pop()
                 path.pop()
 
     def solve(self, method: str = "cotree") -> SolveResult:
-        """Solve from every source, ascending.
-
-        On an acyclic graph the witness stays unexpanded until asked for.
-        """
+        """Solve from every source, ascending; the witness stays unexpanded
+        until asked for."""
         started = time.perf_counter()
-        if not self.acyclic:
-            paths = enumerate_emergy_paths(self.g, (self.tail, self.head))
-            value, kept, tree_nodes = self._evaluate(paths)
-            stats = SolveStats(len(paths), len(kept), tree_nodes,
-                               time.perf_counter() - started)
-            return SolveResult(value, method, stats, lambda: iter(kept))
         value, paths, witness = Fraction(0), 0, 0
         roots = []
         for s in self.g.sources:
             entry = self.entry(s)
-            if entry[1]:
-                value += self.g.source_emergy[s] * entry[0]
-                paths += entry[1]
-                witness += entry[2]
-                roots.append(s)
-        tree_nodes = sum(entry is not None for entry in self.memo)
-        stats = SolveStats(paths, witness, tree_nodes, time.perf_counter() - started)
+            if entry[2]:
+                value += self.g.source_emergy[s] * Fraction(entry[0], entry[1])
+                paths += entry[2]
+                witness += entry[3]
+                roots.append((s, entry))
+        stats = SolveStats(paths, witness, self.frame_count, time.perf_counter() - started)
 
         def expand() -> Iterator[EmergyPath]:
-            for s in roots:
-                yield from self.expand(s)
+            for s, entry in roots:
+                yield from self.expand(s, entry)
 
         return SolveResult(value, method, stats, expand)
 
-    def _evaluate(self, paths: list[EmergyPath]) -> tuple[Fraction, list[EmergyPath], int]:
-        """The value, kept paths and tree size of the paths' prefix trees.
-
-        The paths come in lexicographic order, so the trees are walked with
-        one stack of open nodes, each holding the (value, kept paths) of its
-        closed children: a path closes the open nodes below its common
-        prefix with the previous path, opens the rest of its own, and joins
-        the last one as a leaf. Path values are whole, so a closed node only
-        combines its children; a closed root adds to the total.
-        """
-        value, kept, tree_nodes = Fraction(0), [], 0
-        stack: list[tuple[int, list]] = []
-        previous: tuple[int, ...] = ()
-        for p in [*paths, None]:
-            nodes = p.nodes if p is not None else ()
-            common, limit = 0, min(len(previous), len(nodes)) - 1
-            while common < limit and previous[common] == nodes[common]:
-                common += 1
-            while len(stack) > common:
-                node, children = stack.pop()
-                total, best = _combine(self.g.kind[node], node, [v for v, _ in children])
-                chosen = ([q for _, part in children for q in part] if best is None
-                          else children[best][1])
-                if stack:
-                    stack[-1][1].append((total, chosen))
-                else:
-                    value += total
-                    kept += chosen
-            if p is None:
-                break
-            tree_nodes += len(nodes) - common
-            stack.extend((v, []) for v in nodes[common:-1])
-            stack[-1][1].append((p.value, [p]))
-            previous = nodes
-        return value, kept, tree_nodes
-
 
 def solve_general(g: EmergyGraph, arc: tuple[int, int]) -> SolveResult:
-    """Maximum empower of `arc`: the memoized search on an acyclic graph,
-    the enumerated paths' prefix trees on a cyclic one.
+    """Maximum empower of `arc` by one path search per source, memoized
+    per node on an acyclic graph.
 
     Returns value 0 with an empty witness when no source reaches the arc.
     """
@@ -297,13 +276,14 @@ def brute_force_solve(g: EmergyGraph, arc: tuple[int, int], cap: int = 20) -> So
     """Exhaustive maximization over all pairwise-compatible path subsets.
 
     The oracle the search is tested against; refuses more than `cap`
-    paths. Ties are broken toward the lexicographically smallest path set.
+    paths, counted by the search before any path is listed. Ties are broken
+    toward the lexicographically smallest path set.
     """
     started = time.perf_counter()
-    paths = enumerate_emergy_paths(g, arc)
-    n = len(paths)
+    n = ArcSearch(g, arc).solve().stats.path_count
     if n > cap:
         raise ValueError(f"{n} paths exceed the brute-force cap {cap}")
+    paths = enumerate_emergy_paths(g, arc)
     masks = [0] * n
     for i in range(n):
         for j in range(i + 1, n):

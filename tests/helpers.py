@@ -126,9 +126,10 @@ def best_compatible_value(g: EmergyGraph, seqs: list[tuple[int, ...]]) -> Fracti
 
 def search_value_table(g: EmergyGraph, arc: tuple[int, int]) -> dict[int, Fraction]:
     """f(i) for every node: the search's value from i entered alone (the
-    memo entry's first field), scaled by the emergy when i is a source."""
+    entry's first two fields, numerator and denominator), scaled by the
+    emergy when i is a source."""
     search = ArcSearch(g, arc)
-    return {i: g.source_emergy.get(i, 1) * search.entry(i)[0] for i in g.nodes}
+    return {i: g.source_emergy.get(i, 1) * Fraction(*search.entry(i)[:2]) for i in g.nodes}
 
 
 def arc_with_most_paths(g: EmergyGraph, max_paths: int | None = None) -> tuple[int, int] | None:

@@ -155,6 +155,15 @@ class TestSolveCommand:
         assert main(["solve", TEXTBOOK, "--arc", "4,7", "--method", "dag",
                      "--state"]) == 2
 
+    def test_negative_places_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["solve", TEXTBOOK, "--arc", "4,7", "--places", "-1"])
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must not be negative" in captured.err
+        assert main(["solve", TEXTBOOK, "--arc", "4,7", "--places", "0"]) == 0
+        assert capsys.readouterr().out.startswith("Em = 315 (315)\n")
+
     def test_bad_arc_exits_two(self, capsys):
         assert main(["solve", TEXTBOOK, "--arc", "1,7"]) == 2
         assert "not an arc" in capsys.readouterr().err
@@ -222,6 +231,16 @@ class TestCountPathsCommand:
     def test_single_method(self, digraph_file, capsys):
         assert main(["count-paths", digraph_file, "--method", "dfs"]) == 0
         assert capsys.readouterr().out == "dfs: 2\n"
+
+    def test_long_line(self, tmp_path, capsys):
+        for n, method in ((1200, "dfs"), (120, "both")):
+            lines = [f"vertex {i}" for i in range(1, n + 1)]
+            lines += [f"edge {i} {i + 1}" for i in range(1, n)]
+            f = tmp_path / f"line{n}.dg"
+            f.write_text("\n".join(lines + ["start 1", f"target {n}"]) + "\n")
+            assert main(["count-paths", str(f), "--method", method]) == 0
+            out = capsys.readouterr().out
+            assert out == ("dfs: 1\n" if method == "dfs" else "reduction: 1\ndfs: 1\n")
 
     def test_mismatch_exits_one(self, digraph_file, monkeypatch, capsys):
         monkeypatch.setattr(

@@ -43,6 +43,11 @@ class TestDigraph:
         with pytest.raises(ValueError, match="undeclared"):
             digraph(2, {(1, 3)})
 
+    def test_adjacency(self):
+        d = digraph(4, {(1, 3), (1, 2), (3, 4), (1, 4)})
+        assert [d.successors(v) for v in (1, 2, 3, 4)] == [(2, 3, 4), (), (4,), ()]
+        assert [d.out_degree(v) for v in (1, 2, 3, 4)] == [3, 0, 1, 0]
+
     def test_parse_round_trip(self):
         text = serialize_digraph(TRIANGLE)
         assert parse_digraph(text) == TRIANGLE
@@ -172,6 +177,15 @@ class TestCounting:
         for p in paths:
             assert len(set(p)) == len(p)
             assert p[0] == 1 and p[-1] == 4
+
+    def test_long_line_needs_no_recursion(self):
+        line = digraph(1200, {(i, i + 1) for i in range(1, 1200)})
+        assert enumerate_simple_paths(line) == [tuple(range(1, 1201))]
+        assert count_simple_paths(line, "dfs") == 1
+        # the reduction's denominators grow like the bound (about n!), so it
+        # is checked on a shorter line
+        line = digraph(120, {(i, i + 1) for i in range(1, 120)})
+        assert count_simple_paths(line, "reduction") == count_simple_paths(line, "dfs") == 1
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

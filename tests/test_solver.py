@@ -19,7 +19,7 @@ from empower.generators import (
 from empower.graph import EmergyGraph, NodeKind, reachability_to_target
 from empower.hardness import build_reduction
 from empower.paths import EmergyPath, enumerate_emergy_paths
-from empower.solver import brute_force_solve, solve_general
+from empower.solver import ArcSearch, brute_force_solve, solve_general
 from helpers import (
     TrieNode,
     arc_with_most_paths,
@@ -48,6 +48,10 @@ def family_instances(seed: int):
         pass
     yield random_no_split_graph(4 + seed % 7, seed)
     yield build_reduction(random_digraph(2 + seed % 5, 0.5, seed)).graph
+
+
+def refuse_listing(*args):
+    raise AssertionError("enumerate_emergy_paths called")
 
 
 def textbook_source_paths(textbook, source):
@@ -235,6 +239,38 @@ class TestAgainstOracles:
             for arc in sorted(g.arcs):
                 self.check(g, arc)
 
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_cyclic_entries_per_source(self, seed):
+        """On a cyclic graph every source's fresh search is its own trie."""
+        graphs = [build_reduction(random_digraph(3 + seed % 4, 0.6, seed)).graph]
+        try:
+            graphs.append(random_cyclic(6 + seed % 6, 0.5, 1 + seed % 3, seed))
+        except ValueError:
+            pass
+        for g in graphs:
+            for arc in sorted(g.arcs):
+                search = ArcSearch(g, arc)
+                if search.acyclic:
+                    continue
+                paths = enumerate_emergy_paths(g, arc)
+                for s in g.sources:
+                    own = [p for p in paths if p.source == s]
+                    entry = search.entry(s)
+                    assert entry[2] == len(own)
+                    if not own:
+                        continue
+                    value, selected = evaluate_trie(g, build_source_trie(own))
+                    assert g.source_emergy[s] * Fraction(entry[0], entry[1]) == value
+                    assert entry[3] == len(selected)
+                    assert list(search.expand(s, entry)) == selected
+
+    def test_cyclic_graphs_list_no_paths(self, textbook, monkeypatch):
+        monkeypatch.setattr("empower.paths.enumerate_emergy_paths", refuse_listing)
+        monkeypatch.setattr("empower.solver.enumerate_emergy_paths", refuse_listing)
+        result = solve_general(textbook, (4, 7))
+        assert (result.value, result.stats.path_count, len(result.witness.paths)) == (315, 6, 5)
+
     def test_long_chain_needs_no_recursion(self):
         g, arc = chain_graph(3000, Fraction(7, 3))
         result = solve_general(g, arc)
@@ -263,6 +299,12 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="cap"):
             brute_force_solve(g, arc)
         assert brute_force_solve(g, arc, cap=32).value == 1
+
+    def test_cap_is_checked_before_listing_paths(self, monkeypatch):
+        monkeypatch.setattr("empower.solver.enumerate_emergy_paths", refuse_listing)
+        g, arc = diamond_chain(16)
+        with pytest.raises(ValueError, match="^65536 paths exceed the brute-force cap 20$"):
+            brute_force_solve(g, arc)
 
     def test_edgeless_compatibility_keeps_the_best_path(self, textbook):
         from test_compat import single_source_coproduct_graph
