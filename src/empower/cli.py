@@ -70,47 +70,38 @@ def _fail(message: str, code: int) -> int:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
 
-def _load_graph(path: str) -> EmergyGraph | int:
+def _load(args) -> EmergyGraph | int:
+    """The graph in `args.file` if it parses, validates and has `args.arc`; else an exit code."""
     try:
-        return parse_graph(_read(path))
+        g = parse_graph(_read(args.file))
     except ParseError as exc:
-        return _fail(f"{path}: {exc}", 2)
-
-
-def _load_valid_graph(path: str) -> EmergyGraph | int:
-    g = _load_graph(path)
-    if isinstance(g, int):
-        return g
+        return _fail(f"{args.file}: {exc}", 2)
     report = validate_graph(g)
+    for v in report:
+        print(f"violation[{v.code}] {v.message}")
     if report:
-        for v in report:
-            print(f"violation[{v.code}] {v.message}")
         return 1
+    arc = getattr(args, "arc", None)
+    if arc is not None and arc not in g.arcs:
+        return _fail(f"{arc[0]},{arc[1]} is not an arc of the instance", 2)
     return g
 
 
 def cmd_validate(args) -> int:
-    g = _load_graph(args.file)
-    if isinstance(g, int):
-        return g
-    report = validate_graph(g)
-    for v in report:
-        print(f"violation[{v.code}] {v.message}")
-    return 1 if report else 0
+    g = _load(args)
+    return g if isinstance(g, int) else 0
 
 
 def cmd_paths(args) -> int:
-    g = _load_valid_graph(args.file)
+    g = _load(args)
     if isinstance(g, int):
         return g
-    if args.arc not in g.arcs:
-        return _fail(f"{args.arc[0]},{args.arc[1]} is not an arc of the instance", 2)
     for p in enumerate_emergy_paths(g, args.arc):
         if args.format == "records":
             print(f"path nodes={p} source={p.source} arcs={p.arc_count} value={p.value}")
@@ -138,11 +129,9 @@ def _solve(g: EmergyGraph, arc: tuple[int, int], method: str,
 
 
 def cmd_solve(args) -> int:
-    g = _load_valid_graph(args.file)
+    g = _load(args)
     if isinstance(g, int):
         return g
-    if args.arc not in g.arcs:
-        return _fail(f"{args.arc[0]},{args.arc[1]} is not an arc of the instance", 2)
     started = time.perf_counter()
     result = _solve(g, args.arc, args.method, args.state)
     elapsed = time.perf_counter() - started
@@ -176,16 +165,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check_cograph(args) -> int:
-    g = _load_valid_graph(args.file)
+    g = _load(args)
     if isinstance(g, int):
         return g
-    if args.arc not in g.arcs:
-        return _fail(f"{args.arc[0]},{args.arc[1]} is not an arc of the instance", 2)
+    # count the paths without listing them, so the cap comes before the O(n^2) work
+    n = ArcSearch(g, args.arc).solve().stats.path_count
+    if n > args.cap:
+        return _fail(f"{n} vertices exceed the induced-path check cap {args.cap}", 3)
     cg = build_compatibility_graph(g, args.arc)
-    try:
-        witness = find_induced_p4(cg, cap=args.cap)
-    except ValueError as exc:
-        return _fail(str(exc), 3)
+    witness = find_induced_p4(cg, cap=args.cap)
     print(f"{len(cg.vertices)} vertices, {len(cg.edges)} edges")
     if witness is not None:
         print("induced four-path found:")
@@ -198,8 +186,6 @@ def cmd_check_cograph(args) -> int:
 def cmd_count_paths(args) -> int:
     try:
         d = parse_digraph(_read(args.file))
-    except ParseError as exc:
-        return _fail(f"{args.file}: {exc}", 2)
     except ValueError as exc:
         return _fail(f"{args.file}: {exc}", 2)
     methods = ["reduction", "dfs"] if args.method == "both" else [args.method]
@@ -239,9 +225,7 @@ def cmd_gen(args) -> int:
             print(f"# reduction of {args.digraph}; bound={inst.bound}")
             print(f"# target arc: {inst.target_arc[0]},{inst.target_arc[1]}")
             sys.stdout.write(serialize_graph(inst.graph))
-        else:  # unreachable, argparse restricts choices
-            return _fail(f"unknown family {args.family}", 2)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc), 2)
     return 0
 
@@ -278,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify the compatibility graph has no induced four-path")
     p.add_argument("file")
     p.add_argument("--arc", type=_arc, required=True, metavar="L,LP")
-    p.add_argument("--cap", type=int, default=400)
+    p.add_argument("--cap", type=_non_negative_int, default=400)
     p.set_defaults(func=cmd_check_cograph)
 
     p = sub.add_parser("count-paths", help="count simple start-to-target paths of a digraph")

@@ -85,18 +85,11 @@ class EmergyGraph:
     def sources(self) -> tuple[int, ...]:
         return tuple(i for i in self.nodes if self.kind[i] is NodeKind.SOURCE)
 
-    @property
-    def outputs(self) -> tuple[int, ...]:
-        return tuple(i for i in self.nodes if self.kind[i] is NodeKind.OUTPUT)
-
     def successors(self, i: int) -> tuple[int, ...]:
         return self.succ[i]
 
     def predecessors(self, i: int) -> tuple[int, ...]:
         return self.pred[i]
-
-    def weight(self, tail: int, head: int) -> Fraction:
-        return self.arcs[(tail, head)]
 
 
 @dataclass(frozen=True)
@@ -162,7 +155,7 @@ def parse_id(token: str, what: str, line: int, col: int) -> int:
     return _to_int(token, what, line, col)
 
 
-def _tokenize(text: str) -> Iterable[tuple[int, list[tuple[str, int]]]]:
+def tokenize(text: str) -> Iterable[tuple[int, list[tuple[str, int]]]]:
     """Yield (line number, [(token, column), ...]) skipping blanks and comments."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         content = raw.split("#", 1)[0]
@@ -187,7 +180,7 @@ def parse_graph(text: str) -> EmergyGraph:
     arcs: dict[tuple[int, int], Fraction] = {}
     arc_sites: list[tuple[tuple[int, int], int, int]] = []
 
-    for lineno, tokens in _tokenize(text):
+    for lineno, tokens in tokenize(text):
         word, col = tokens[0]
         if word == "node":
             if len(tokens) < 3:

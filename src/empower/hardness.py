@@ -15,11 +15,10 @@ direct backtracking counter serves as the independent cross-check.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import EmergyGraph, NodeKind, ParseError, parse_id
+from .graph import EmergyGraph, NodeKind, ParseError, parse_id, tokenize
 from .solver import solve_general
 
 
@@ -92,11 +91,7 @@ def parse_digraph(text: str) -> Digraph:
     arcs: set[tuple[int, int]] = set()
     start: int | None = None
     target: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0]
-        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", content)]
-        if not tokens:
-            continue
+    for lineno, tokens in tokenize(text):
         word, col = tokens[0]
         arity = {"vertex": 1, "edge": 2, "start": 1, "target": 1}.get(word)
         if arity is None:
@@ -104,22 +99,22 @@ def parse_digraph(text: str) -> Digraph:
         if len(tokens) != arity + 1:
             raise ParseError(f"{word} line needs {arity} vertex id(s)", lineno, col)
         ids = [parse_id(tok, "vertex id", lineno, tcol) for tok, tcol in tokens[1:]]
-        if word == "vertex" and len(ids) == 1:
+        if word == "vertex":
             if ids[0] in vertices:
                 raise ParseError(f"duplicate vertex {ids[0]}", lineno, col)
             vertices.add(ids[0])
-        elif word == "edge" and len(ids) == 2:
+        elif word == "edge":
             pair = (ids[0], ids[1])
             if pair[0] == pair[1]:
                 raise ParseError(f"self-loop edge ({pair[0]}, {pair[1]})", lineno, col)
             if pair in arcs:
                 raise ParseError(f"duplicate edge {pair}", lineno, col)
             arcs.add(pair)
-        elif word == "start" and len(ids) == 1:
+        elif word == "start":
             if start is not None:
                 raise ParseError("duplicate start line", lineno, col)
             start = ids[0]
-        elif word == "target" and len(ids) == 1:
+        elif word == "target":
             if target is not None:
                 raise ParseError("duplicate target line", lineno, col)
             target = ids[0]

@@ -4,8 +4,8 @@ An emergy path for a query arc (l, l') starts at a source, ends with the arc
 itself, and is simple except that the final node l' may coincide with one
 earlier node (that is how a path may close a cycle exactly once).
 
-Plain node tuples double as the path algebra: `None` is the absorbing
-no-connection element and the empty tuple is the neutral zero-arc path.
+`path_value` prices any node sequence: `None` (no path) is worth 0, a
+path of no arcs is worth 1.
 """
 
 from __future__ import annotations
@@ -54,24 +54,6 @@ def path_value(g: EmergyGraph, path: Sequence[int] | None) -> Fraction:
     if g.kind.get(path[0]) is NodeKind.SOURCE:
         value *= g.source_emergy[path[0]]
     return value
-
-
-def concat_paths(a: Sequence[int] | None, b: Sequence[int] | None) -> tuple[int, ...] | None:
-    """Join two paths when the endpoints meet.
-
-    Absorbing on `None`, neutral on the empty tuple, and `None` when the
-    first path does not end where the second begins.
-    """
-    if a is None or b is None:
-        return None
-    a, b = tuple(a), tuple(b)
-    if not a:
-        return b
-    if not b:
-        return a
-    if a[-1] != b[0]:
-        return None
-    return a + b[1:]
 
 
 def enumerate_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> list[EmergyPath]:

@@ -23,14 +23,13 @@ exists purely as an oracle for small instances.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import Callable, Iterator
 
-from .compat import compatible
+from .compat import build_compatibility_graph
 from .graph import (
     EmergyGraph,
     NodeKind,
@@ -38,7 +37,7 @@ from .graph import (
     require_arc,
     topological_order,
 )
-from .paths import EmergyPath, enumerate_emergy_paths
+from .paths import EmergyPath
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,6 @@ class SolveStats:
     path_count: int
     witness_count: int
     tree_nodes: int
-    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -244,7 +242,6 @@ class ArcSearch:
     def solve(self, method: str = "cotree") -> SolveResult:
         """Solve from every source, ascending; the witness stays unexpanded
         until asked for."""
-        started = time.perf_counter()
         value, paths, witness = Fraction(0), 0, 0
         roots = []
         for s in self.g.sources:
@@ -254,7 +251,7 @@ class ArcSearch:
                 paths += entry[2]
                 witness += entry[3]
                 roots.append((s, entry))
-        stats = SolveStats(paths, witness, self.frame_count, time.perf_counter() - started)
+        stats = SolveStats(paths, witness, self.frame_count)
 
         def expand() -> Iterator[EmergyPath]:
             for s, entry in roots:
@@ -279,17 +276,11 @@ def brute_force_solve(g: EmergyGraph, arc: tuple[int, int], cap: int = 20) -> So
     paths, counted by the search before any path is listed. Ties are broken
     toward the lexicographically smallest path set.
     """
-    started = time.perf_counter()
     n = ArcSearch(g, arc).solve().stats.path_count
     if n > cap:
         raise ValueError(f"{n} paths exceed the brute-force cap {cap}")
-    paths = enumerate_emergy_paths(g, arc)
-    masks = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if compatible(g, paths[i].nodes, paths[j].nodes):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+    cg = build_compatibility_graph(g, arc)
+    paths, masks = cg.vertices, cg.adjacency
 
     best_value = Fraction(0)
     best_members: tuple[int, ...] = ()
@@ -322,5 +313,5 @@ def brute_force_solve(g: EmergyGraph, arc: tuple[int, int], cap: int = 20) -> So
 
     grow((), Fraction(0), (1 << n) - 1)
     chosen = tuple(sorted(paths[i] for i in best_members))
-    stats = SolveStats(n, len(chosen), 0, time.perf_counter() - started)
+    stats = SolveStats(n, len(chosen), 0)
     return SolveResult(best_value, "brute", stats, lambda: iter(chosen))

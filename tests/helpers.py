@@ -52,6 +52,24 @@ def oracle_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> list[tuple[int,
     return sorted(found)
 
 
+def concat_paths(a: Sequence[int] | None, b: Sequence[int] | None) -> tuple[int, ...] | None:
+    """Join two paths when the endpoints meet.
+
+    Absorbing on `None`, neutral on the empty tuple, and `None` when the
+    first path does not end where the second begins.
+    """
+    if a is None or b is None:
+        return None
+    a, b = tuple(a), tuple(b)
+    if not a:
+        return b
+    if not b:
+        return a
+    if a[-1] != b[0]:
+        return None
+    return a + b[1:]
+
+
 def naive_find_p4(cg: CompatibilityGraph) -> tuple[int, ...] | None:
     """Quadruple-by-quadruple induced-path scan, the dumbest possible way."""
     n = len(cg.vertices)

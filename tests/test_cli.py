@@ -9,7 +9,8 @@ import pytest
 import empower.cli as cli
 from empower.cli import decimal_string, main
 from empower.fixtures import textbook_path
-from empower.graph import parse_graph, validate_graph
+from empower.generators import diamond_chain
+from empower.graph import parse_graph, serialize_graph, validate_graph
 
 TEXTBOOK = str(textbook_path())
 
@@ -27,6 +28,23 @@ def broken_file(tmp_path):
     text = textbook_path().read_text().replace("arc 2 3 3/10", "arc 2 3 1/2")
     f.write_text(text)
     return str(f)
+
+
+@pytest.fixture
+def non_utf8_file(tmp_path):
+    f = tmp_path / "latin1.eg"
+    f.write_bytes(b"node 1 source 5\nnode 2 output # caf\xe9\narc 1 2 1\n")
+    return str(f)
+
+
+def assert_unreadable(argv, path, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec")
 
 
 @pytest.fixture
@@ -75,6 +93,9 @@ class TestValidateCommand:
     def test_missing_file_exits_two(self):
         with pytest.raises(SystemExit):
             main(["validate", "/nonexistent/file.eg"])
+
+    def test_non_utf8_file_exits_two(self, non_utf8_file, capsys):
+        assert_unreadable(["validate", non_utf8_file], non_utf8_file, capsys)
 
 
 class TestSolveCommand:
@@ -177,6 +198,9 @@ class TestSolveCommand:
     def test_invalid_instance_exits_one(self, broken_file):
         assert main(["solve", broken_file, "--arc", "4,7"]) == 1
 
+    def test_non_utf8_file_exits_two(self, non_utf8_file, capsys):
+        assert_unreadable(["solve", non_utf8_file, "--arc", "1,2"], non_utf8_file, capsys)
+
 
 class TestPathsCommand:
     def test_text_listing(self, capsys):
@@ -220,6 +244,28 @@ class TestCheckCographCommand:
 
     def test_cap_exits_three(self, capsys):
         assert main(["check-cograph", TEXTBOOK, "--arc", "4,7", "--cap", "3"]) == 3
+
+    def test_cap_is_checked_before_building(self, tmp_path, monkeypatch, capsys):
+        g, arc = diamond_chain(16)
+        f = tmp_path / "dc16.eg"
+        f.write_text(serialize_graph(g))
+
+        def refuse_building(g, arc):
+            raise AssertionError("built the compatibility graph over the cap")
+
+        monkeypatch.setattr(cli, "build_compatibility_graph", refuse_building)
+        assert main(["check-cograph", str(f), "--arc", f"{arc[0]},{arc[1]}",
+                     "--cap", "10"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 65536 vertices exceed the induced-path check cap 10\n"
+
+    def test_negative_cap_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["check-cograph", TEXTBOOK, "--arc", "4,7", "--cap", "-1"])
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must not be negative" in captured.err
 
 
 class TestCountPathsCommand:

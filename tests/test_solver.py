@@ -267,7 +267,7 @@ class TestAgainstOracles:
 
     def test_cyclic_graphs_list_no_paths(self, textbook, monkeypatch):
         monkeypatch.setattr("empower.paths.enumerate_emergy_paths", refuse_listing)
-        monkeypatch.setattr("empower.solver.enumerate_emergy_paths", refuse_listing)
+        monkeypatch.setattr("empower.compat.enumerate_emergy_paths", refuse_listing)
         result = solve_general(textbook, (4, 7))
         assert (result.value, result.stats.path_count, len(result.witness.paths)) == (315, 6, 5)
 
@@ -301,7 +301,7 @@ class TestBruteForce:
         assert brute_force_solve(g, arc, cap=32).value == 1
 
     def test_cap_is_checked_before_listing_paths(self, monkeypatch):
-        monkeypatch.setattr("empower.solver.enumerate_emergy_paths", refuse_listing)
+        monkeypatch.setattr("empower.compat.enumerate_emergy_paths", refuse_listing)
         g, arc = diamond_chain(16)
         with pytest.raises(ValueError, match="^65536 paths exceed the brute-force cap 20$"):
             brute_force_solve(g, arc)
