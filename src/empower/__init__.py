@@ -1,17 +1,31 @@
 """Exact solvers for the maximum empower problem on emergy graphs: the entry
-points and the types they return here, every other name in its submodule."""
+points and the types they return here, every other name in its submodule.
 
-from .compat import build_compatibility_graph, find_induced_p4
-from .dag import GraphCycleError, solve_dag
-from .graph import EmergyGraph, NodeKind, ParseError, parse_graph, serialize_graph, validate_graph
-from .hardness import Digraph, count_simple_paths, parse_digraph
-from .paths import EmergyPath, enumerate_emergy_paths
-from .solver import SolveResult, brute_force_solve, solve_general
+The names below are loaded from their submodules on first access, so a
+process imports only the submodules it uses: `empower solve` never compiles
+the hardness reduction, the generators or the compatibility graph.
+"""
 
-__all__ = [
-    "EmergyGraph", "NodeKind", "ParseError", "parse_graph", "serialize_graph", "validate_graph",
-    "EmergyPath", "enumerate_emergy_paths",
-    "SolveResult", "solve_general", "brute_force_solve", "solve_dag", "GraphCycleError",
-    "build_compatibility_graph", "find_induced_p4",
-    "Digraph", "parse_digraph", "count_simple_paths",
-]
+from importlib import import_module
+
+_SUBMODULE = {
+    "EmergyGraph": "graph", "NodeKind": "graph", "ParseError": "graph",
+    "parse_graph": "graph", "serialize_graph": "graph", "validate_graph": "graph",
+    "EmergyPath": "paths", "enumerate_emergy_paths": "paths",
+    "SolveResult": "solver", "solve_general": "solver", "brute_force_solve": "solver",
+    "solve_dag": "dag", "GraphCycleError": "dag",
+    "build_compatibility_graph": "compat", "find_induced_p4": "compat",
+    "Digraph": "hardness", "parse_digraph": "hardness", "count_simple_paths": "hardness",
+}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -12,12 +12,15 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import fixtures, generators
-from .compat import build_compatibility_graph, find_induced_p4
 from .graph import EmergyGraph, ParseError, parse_graph, serialize_graph, validate_graph
-from .hardness import build_reduction, count_simple_paths, parse_digraph, serialize_digraph
-from .paths import enumerate_emergy_paths
 from .solver import ArcSearch, SolveResult, brute_force_solve
+
+# A process runs one command: the hardness reduction, the generators and the
+# compatibility graph are imported inside the commands that use them.
+
+# the textbook arc whose solution prints `fixtures.TEXTBOOK_NOTICE`; only a
+# solve at this arc loads `fixtures`
+TEXTBOOK_DISPUTED_ARC = (4, 7)
 
 
 def decimal_string(x: Fraction, places: int = 2) -> str:
@@ -99,6 +102,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    from .paths import enumerate_emergy_paths
+
     g = _load(args)
     if isinstance(g, int):
         return g
@@ -159,12 +164,17 @@ def cmd_solve(args) -> int:
                   f"decimal={decimal_string(rate, args.places)}")
         else:
             print(f"empower = {rate} ({decimal_string(rate, args.places)})")
-    if args.arc == fixtures.TEXTBOOK_DISPUTED_ARC and g == fixtures.load_textbook():
-        print(fixtures.TEXTBOOK_NOTICE)
+    if args.arc == TEXTBOOK_DISPUTED_ARC:
+        from . import fixtures
+
+        if g == fixtures.load_textbook():
+            print(fixtures.TEXTBOOK_NOTICE)
     return 0
 
 
 def cmd_check_cograph(args) -> int:
+    from .compat import build_compatibility_graph, find_induced_p4
+
     g = _load(args)
     if isinstance(g, int):
         return g
@@ -184,6 +194,8 @@ def cmd_check_cograph(args) -> int:
 
 
 def cmd_count_paths(args) -> int:
+    from .hardness import count_simple_paths, parse_digraph
+
     try:
         d = parse_digraph(_read(args.file))
     except ValueError as exc:
@@ -198,6 +210,9 @@ def cmd_count_paths(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import generators
+    from .hardness import build_reduction, parse_digraph, serialize_digraph
+
     try:
         if args.family == "diamond-chain":
             g, arc = generators.diamond_chain(args.length, args.source_emergy)

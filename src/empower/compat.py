@@ -5,15 +5,14 @@ at different nodes, or part ways at a split. Parting ways at a co-product is
 the one incompatible case: only the largest co-product branch may be counted,
 never both. The graph induced by this relation on the emergy paths of a query
 arc contains no induced four-vertex path, which is what the search in
-`solver` exploits; `is_p4_free` is kept as the independent witness of that
-fact.
+`solver` exploits; `find_induced_p4` is kept as the independent witness of
+that fact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graph import EmergyGraph, NodeKind
 from .paths import EmergyPath, enumerate_emergy_paths
@@ -52,8 +51,7 @@ def compatible(g: EmergyGraph, a: Sequence[int], b: Sequence[int]) -> bool:
         f"paths diverge at {kind.value} node {fork}; not paths of a valid graph")
 
 
-@dataclass(frozen=True)
-class CompatibilityGraph:
+class CompatibilityGraph(NamedTuple):
     """Undirected graph over emergy paths; edges join compatible pairs.
 
     Edges are stored as index pairs (i, j) with i < j into `vertices`, which
@@ -108,13 +106,3 @@ def find_induced_p4(cg: CompatibilityGraph, cap: int = 400) -> tuple[int, int, i
                 d = (ends & -ends).bit_length() - 1
                 return (a, b, c, d)
     return None
-
-
-def is_p4_free(cg: CompatibilityGraph, cap: int = 400) -> bool:
-    return find_induced_p4(cg, cap) is None
-
-
-def pairwise_compatible(g: EmergyGraph, paths: Sequence[EmergyPath]) -> bool:
-    """True when every pair in `paths` is compatible (a valid emergy state)."""
-    return all(
-        compatible(g, a.nodes, b.nodes) for a, b in combinations(paths, 2))

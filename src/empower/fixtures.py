@@ -30,8 +30,6 @@ def load_textbook() -> EmergyGraph:
     return parse_graph(textbook_text())
 
 
-TEXTBOOK_DISPUTED_ARC = (4, 7)
-
 TEXTBOOK_NOTICE = (
     "note: the published account of this instance reports 303.75 sej at arc 4,7; "
     "it treats the three cycle paths from source 1 as mutually exclusive, but the "

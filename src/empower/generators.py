@@ -41,6 +41,12 @@ def diamond_chain(layers: int, source_emergy: Fraction | int = 1) -> tuple[Emerg
     return g, (entry, out)
 
 
+def _check_probability(name: str, p: float) -> None:
+    # out of range, a probability would act as 0 or 1; NaN fails both comparisons
+    if not 0 <= p <= 1:
+        raise ValueError(f"{name} must lie in [0, 1], got {p}")
+
+
 def _split_weights(rng: random.Random, successors: list[int]) -> dict[int, Fraction]:
     raw = [rng.randint(1, 9) for _ in successors]
     total = sum(raw)
@@ -76,6 +82,7 @@ def _forward_layout(rng: random.Random, nodes: int, arc_density: float):
     """Pick source/inner/output id ranges and forward successor sets."""
     if nodes < 2:
         raise ValueError("need at least 2 nodes")
+    _check_probability("arc density", arc_density)
     n_src = 1 if nodes < 5 else rng.randint(1, 2)
     n_out = 1 if nodes < 4 else 2
     sources = list(range(1, n_src + 1))
@@ -183,6 +190,7 @@ def random_digraph(vertices: int, arc_prob: float, seed: int) -> Digraph:
     """A counting instance: start 1, target `vertices`, each arc kept with `arc_prob`."""
     if vertices < 2:
         raise ValueError("need at least 2 vertices")
+    _check_probability("arc probability", arc_prob)
     rng = random.Random(seed)
     arcs = {(a, b)
             for a in range(1, vertices + 1)

@@ -10,11 +10,9 @@ touches floating point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class NodeKind(Enum):
@@ -33,53 +31,54 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
 class EmergyGraph:
-    """Immutable emergy graph with precomputed sorted adjacency.
+    """Emergy graph with precomputed sorted adjacency; not to be changed
+    after construction, because the adjacency is derived from it once.
 
     `kind` maps node id to its kind, `source_emergy` holds the emergy of each
     source node, `arcs` maps (tail, head) to the arc weight. Successor and
     predecessor lists are derived and sorted ascending by id, which makes
-    every traversal in this package deterministic.
+    every traversal in this package deterministic. Two graphs are equal when
+    their kinds, emergies and arcs are; a graph is not hashable.
 
     The constructor rejects structural nonsense (self-loops, arcs touching
     undeclared nodes, emergy entries on non-sources); the semantic rules
     (weight sums, degrees, ranges) are reported by `validate_graph`.
     """
 
-    kind: dict[int, NodeKind]
-    source_emergy: dict[int, Fraction]
-    arcs: dict[tuple[int, int], Fraction]
-    succ: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    pred: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "source_emergy",
-            {i: Fraction(v) for i, v in self.source_emergy.items()})
-        object.__setattr__(
-            self, "arcs", {a: Fraction(w) for a, w in self.arcs.items()})
+    def __init__(self, kind: dict[int, NodeKind], source_emergy: dict[int, Fraction],
+                 arcs: dict[tuple[int, int], Fraction]):
+        self.kind = kind
+        self.source_emergy = {i: Fraction(v) for i, v in source_emergy.items()}
+        self.arcs = {a: Fraction(w) for a, w in arcs.items()}
         for i in self.source_emergy:
-            if self.kind.get(i) is not NodeKind.SOURCE:
+            if kind.get(i) is not NodeKind.SOURCE:
                 raise ValueError(f"emergy given for non-source node {i}")
-        for s, k in self.kind.items():
+        for s, k in kind.items():
             if k is NodeKind.SOURCE and s not in self.source_emergy:
                 raise ValueError(f"source node {s} has no emergy")
-        succ: dict[int, list[int]] = {i: [] for i in self.kind}
-        pred: dict[int, list[int]] = {i: [] for i in self.kind}
+        succ: dict[int, list[int]] = {i: [] for i in kind}
+        pred: dict[int, list[int]] = {i: [] for i in kind}
         for (a, b) in self.arcs:
             if a == b:
                 raise ValueError(f"self-loop arc ({a}, {a})")
-            if a not in self.kind or b not in self.kind:
+            if a not in kind or b not in kind:
                 raise ValueError(f"arc ({a}, {b}) touches an undeclared node")
             succ[a].append(b)
             pred[b].append(a)
-        object.__setattr__(self, "succ", {i: tuple(sorted(v)) for i, v in succ.items()})
-        object.__setattr__(self, "pred", {i: tuple(sorted(v)) for i, v in pred.items()})
+        self.succ = {i: tuple(sorted(v)) for i, v in succ.items()}
+        self.pred = {i: tuple(sorted(v)) for i, v in pred.items()}
+        self.nodes = tuple(sorted(kind))
 
-    @cached_property
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.kind))
+    def __eq__(self, other):
+        if other.__class__ is not EmergyGraph:
+            return NotImplemented
+        return (self.kind, self.source_emergy, self.arcs) == \
+            (other.kind, other.source_emergy, other.arcs)
+
+    def __repr__(self) -> str:
+        return (f"EmergyGraph(kind={self.kind!r}, source_emergy={self.source_emergy!r}, "
+                f"arcs={self.arcs!r})")
 
     @property
     def sources(self) -> tuple[int, ...]:
@@ -92,8 +91,7 @@ class EmergyGraph:
         return self.pred[i]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken graph rule; `subject` is a node id or an arc pair."""
 
     code: str
@@ -298,8 +296,7 @@ def validate_graph(g: EmergyGraph) -> list[Violation]:
     return report
 
 
-@dataclass(frozen=True)
-class TopoResult:
+class TopoResult(NamedTuple):
     """Either a topological order of all nodes or a directed cycle witness.
 
     Exactly one field is set. A cycle is returned in closed form (first node

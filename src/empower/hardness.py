@@ -15,38 +15,52 @@ direct backtracking counter serves as the independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import EmergyGraph, NodeKind, ParseError, parse_id, tokenize
 from .solver import solve_general
 
 
-@dataclass(frozen=True)
 class Digraph:
     """A counting instance: directed graph with start and target vertices,
-    with successor lists precomputed and sorted ascending."""
+    with successor lists precomputed and sorted ascending. Two digraphs are
+    equal when their vertices, arcs, start and target are."""
 
-    vertices: frozenset[int]
-    arcs: frozenset[tuple[int, int]]
-    start: int
-    target: int
-    succ: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.start == self.target:
+    def __init__(self, vertices: frozenset[int], arcs: frozenset[tuple[int, int]],
+                 start: int, target: int):
+        if start == target:
             raise ValueError("start and target must differ")
-        for v in (self.start, self.target):
-            if v not in self.vertices:
+        for v in (start, target):
+            if v not in vertices:
                 raise ValueError(f"vertex {v} not declared")
-        succ: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for a, b in self.arcs:
+        succ: dict[int, list[int]] = {v: [] for v in vertices}
+        for a, b in arcs:
             if a == b:
                 raise ValueError(f"self-loop arc ({a}, {b})")
-            if a not in self.vertices or b not in self.vertices:
+            if a not in vertices or b not in vertices:
                 raise ValueError(f"arc ({a}, {b}) touches an undeclared vertex")
             succ[a].append(b)
-        object.__setattr__(self, "succ", {v: tuple(sorted(w)) for v, w in succ.items()})
+        self.vertices = vertices
+        self.arcs = arcs
+        self.start = start
+        self.target = target
+        self.succ = {v: tuple(sorted(w)) for v, w in succ.items()}
+
+    def _key(self) -> tuple:
+        return self.vertices, self.arcs, self.start, self.target
+
+    def __eq__(self, other):
+        if other.__class__ is not Digraph:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"Digraph(vertices={self.vertices!r}, arcs={self.arcs!r}, "
+                f"start={self.start!r}, target={self.target!r})")
 
     def successors(self, v: int) -> tuple[int, ...]:
         return self.succ[v]
@@ -55,8 +69,7 @@ class Digraph:
         return len(self.succ[v])
 
 
-@dataclass(frozen=True)
-class ReductionInstance:
+class ReductionInstance(NamedTuple):
     """The emergy instance wrapping a digraph, plus its decoding parameters."""
 
     graph: EmergyGraph
@@ -67,8 +80,7 @@ class ReductionInstance:
     target_arc: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class PathCountVector:
+class PathCountVector(NamedTuple):
     """Simple-path counts keyed by emergy-path arc count (2 upward)."""
 
     counts: tuple[tuple[int, int], ...]

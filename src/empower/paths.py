@@ -1,25 +1,22 @@
-"""Emergy path enumeration and the path value function.
+"""Emergy path enumeration.
 
 An emergy path for a query arc (l, l') starts at a source, ends with the arc
 itself, and is simple except that the final node l' may coincide with one
-earlier node (that is how a path may close a cycle exactly once).
-
-`path_value` prices any node sequence: `None` (no path) is worth 0, a
-path of no arcs is worth 1.
+earlier node (that is how a path may close a cycle exactly once). Its value
+is the product of its arc weights times the emergy of its source.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple
 
-from .graph import EmergyGraph, NodeKind, require_arc
+from .graph import EmergyGraph, require_arc
 
 
-@dataclass(frozen=True, order=True)
-class EmergyPath:
-    """A node sequence with its value cached at enumeration time."""
+class EmergyPath(NamedTuple):
+    """A node sequence with its value cached at enumeration time; paths
+    order by their node sequences, then by value."""
 
     nodes: tuple[int, ...]
     value: Fraction
@@ -34,26 +31,6 @@ class EmergyPath:
 
     def __str__(self) -> str:
         return ",".join(str(n) for n in self.nodes)
-
-
-def path_value(g: EmergyGraph, path: Sequence[int] | None) -> Fraction:
-    """Value of a path: 0 for no path, 1 for a zero-arc path, otherwise the
-    product of its arc weights, scaled by the source emergy when the path
-    starts at a source."""
-    if path is None:
-        return Fraction(0)
-    path = tuple(path)
-    if len(path) <= 1:
-        return Fraction(1)
-    value = Fraction(1)
-    for tail, head in zip(path, path[1:]):
-        try:
-            value *= g.arcs[(tail, head)]
-        except KeyError:
-            raise ValueError(f"({tail}, {head}) is not an arc") from None
-    if g.kind.get(path[0]) is NodeKind.SOURCE:
-        value *= g.source_emergy[path[0]]
-    return value
 
 
 def enumerate_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> list[EmergyPath]:

@@ -23,13 +23,11 @@ exists purely as an oracle for small instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
-from .compat import build_compatibility_graph
 from .graph import (
     EmergyGraph,
     NodeKind,
@@ -40,16 +38,14 @@ from .graph import (
 from .paths import EmergyPath
 
 
-@dataclass(frozen=True)
-class EmergyState:
+class EmergyState(NamedTuple):
     """A set of pairwise compatible paths with its total value."""
 
     paths: tuple[EmergyPath, ...]
     value: Fraction
 
 
-@dataclass(frozen=True)
-class SolveStats:
+class SolveStats(NamedTuple):
     """What a solve did: emergy paths of the arc, witness paths, and the
     search's frames (one per memo entry on an acyclic graph, one per path
     prefix entered on a cyclic one)."""
@@ -59,15 +55,22 @@ class SolveStats:
     tree_nodes: int
 
 
-@dataclass(frozen=True)
 class SolveResult:
-    """The optimum of one query; the witness is expanded on first use."""
+    """The optimum of one query; the witness is expanded on first use.
 
-    value: Fraction
-    method: str
-    stats: SolveStats
-    # produces the witness paths in lexicographic order, one at a time
-    witness_paths: Callable[[], Iterator[EmergyPath]] = field(repr=False, compare=False)
+    `witness_paths()` produces the witness paths in lexicographic order,
+    one at a time.
+    """
+
+    def __init__(self, value: Fraction, method: str, stats: SolveStats,
+                 witness_paths: Callable[[], Iterator[EmergyPath]]):
+        self.value = value
+        self.method = method
+        self.stats = stats
+        self.witness_paths = witness_paths
+
+    def __repr__(self) -> str:
+        return f"SolveResult(value={self.value!r}, method={self.method!r}, stats={self.stats!r})"
 
     @cached_property
     def witness(self) -> EmergyState:
@@ -276,6 +279,8 @@ def brute_force_solve(g: EmergyGraph, arc: tuple[int, int], cap: int = 20) -> So
     paths, counted by the search before any path is listed. Ties are broken
     toward the lexicographically smallest path set.
     """
+    from .compat import build_compatibility_graph  # only this oracle needs it
+
     n = ArcSearch(g, arc).solve().stats.path_count
     if n > cap:
         raise ValueError(f"{n} paths exceed the brute-force cap {cap}")

@@ -14,10 +14,41 @@ from fractions import Fraction
 from itertools import combinations, groupby
 from typing import Sequence
 
-from empower.compat import CompatibilityGraph, compatible
+from empower.compat import CompatibilityGraph, compatible, find_induced_p4
 from empower.graph import EmergyGraph, NodeKind
-from empower.paths import EmergyPath, enumerate_emergy_paths, path_value
+from empower.paths import EmergyPath, enumerate_emergy_paths
 from empower.solver import ArcSearch
+
+
+def path_value(g: EmergyGraph, path: Sequence[int] | None) -> Fraction:
+    """Value of a path: 0 for no path, 1 for a zero-arc path, otherwise the
+    product of its arc weights, scaled by the source emergy when the path
+    starts at a source."""
+    if path is None:
+        return Fraction(0)
+    path = tuple(path)
+    if len(path) <= 1:
+        return Fraction(1)
+    value = Fraction(1)
+    for tail, head in zip(path, path[1:]):
+        try:
+            value *= g.arcs[(tail, head)]
+        except KeyError:
+            raise ValueError(f"({tail}, {head}) is not an arc") from None
+    if g.kind.get(path[0]) is NodeKind.SOURCE:
+        value *= g.source_emergy[path[0]]
+    return value
+
+
+def pairwise_compatible(g: EmergyGraph, paths: Sequence[EmergyPath]) -> bool:
+    """True when every pair in `paths` is compatible (a valid emergy state)."""
+    return all(
+        compatible(g, a.nodes, b.nodes) for a, b in combinations(paths, 2))
+
+
+def is_p4_free(cg: CompatibilityGraph, cap: int = 400) -> bool:
+    """True when the compatibility graph has no induced four-vertex path."""
+    return find_induced_p4(cg, cap) is None
 
 
 def satisfies_path_definition(g: EmergyGraph, seq: tuple[int, ...], arc: tuple[int, int]) -> bool:

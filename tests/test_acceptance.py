@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from empower.cli import main
-from empower.compat import build_compatibility_graph, compatible, is_p4_free
+from empower.compat import build_compatibility_graph, compatible
 from empower.dag import solve_dag
 from empower.generators import (
     random_cyclic,
@@ -32,6 +32,7 @@ from empower.solver import brute_force_solve, solve_general
 from helpers import (
     arc_with_most_paths,
     best_compatible_value,
+    is_p4_free,
     rooted_simple_paths,
     search_value_table,
 )

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-import empower.cli as cli
+import empower
 from empower.cli import decimal_string, main
 from empower.fixtures import textbook_path
 from empower.generators import diamond_chain
@@ -238,7 +242,7 @@ class TestCheckCographCommand:
             vertices = tuple(EmergyPath((i,), Fraction(1)) for i in range(4))
             return CompatibilityGraph(vertices, frozenset({(0, 1), (1, 2), (2, 3)}))
 
-        monkeypatch.setattr(cli, "build_compatibility_graph", fake_build)
+        monkeypatch.setattr("empower.compat.build_compatibility_graph", fake_build)
         assert main(["check-cograph", TEXTBOOK, "--arc", "4,7"]) == 1
         assert "induced four-path" in capsys.readouterr().out
 
@@ -253,7 +257,7 @@ class TestCheckCographCommand:
         def refuse_building(g, arc):
             raise AssertionError("built the compatibility graph over the cap")
 
-        monkeypatch.setattr(cli, "build_compatibility_graph", refuse_building)
+        monkeypatch.setattr("empower.compat.build_compatibility_graph", refuse_building)
         assert main(["check-cograph", str(f), "--arc", f"{arc[0]},{arc[1]}",
                      "--cap", "10"]) == 3
         captured = capsys.readouterr()
@@ -290,7 +294,7 @@ class TestCountPathsCommand:
 
     def test_mismatch_exits_one(self, digraph_file, monkeypatch, capsys):
         monkeypatch.setattr(
-            cli, "count_simple_paths",
+            "empower.hardness.count_simple_paths",
             lambda d, m: 1 if m == "reduction" else 2)
         assert main(["count-paths", digraph_file]) == 1
         assert "disagree" in capsys.readouterr().err
@@ -333,7 +337,55 @@ class TestGenCommand:
     def test_bad_parameters_exit_two(self, capsys):
         assert main(["gen", "--family", "random-dag", "--nodes", "1"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "random-dag", "--arc-density", "5"],
+        ["--family", "random-cyclic", "--arc-density", "nan"],
+        ["--family", "random-digraph", "--arc-prob", "-1"],
+    ])
+    def test_probability_outside_unit_interval_exits_two(self, argv, capsys):
+        assert main(["gen", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["solve", TEXTBOOK, "--arc", "banana"])
         assert err.value.code == 2
+
+
+# Runs `main` in a fresh interpreter; its last line of output lists the
+# modules that the command loaded and that were not loaded at start-up.
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+from empower.cli import main
+code = main(sys.argv[1:])
+print(*sorted(set(sys.modules) - before))
+sys.exit(code)
+"""
+
+
+class TestStartupImports:
+    NOT_NEEDED = {"dataclasses", "empower.hardness", "empower.compat",
+                  "empower.generators", "empower.dag"}
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", TEXTBOOK, "--arc", "7,8"],
+        ["solve", TEXTBOOK, "--arc", "4,7", "--state", "--format", "records"],
+        ["validate", TEXTBOOK],
+    ])
+    def test_command_loads_only_what_it_runs(self, argv):
+        src = str(Path(empower.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        assert "empower.cli" in loaded
+        assert loaded & self.NOT_NEEDED == set()
+
+    def test_package_uses_no_dataclasses(self):
+        package = Path(empower.__file__).parent
+        assert [p.name for p in package.rglob("*.py") if "dataclass" in p.read_text()] == []

@@ -15,14 +15,12 @@ from empower.compat import (
     build_compatibility_graph,
     compatible,
     find_induced_p4,
-    is_p4_free,
     longest_common_prefix,
-    pairwise_compatible,
 )
 from empower.generators import random_cyclic, random_dag
 from empower.graph import EmergyGraph, NodeKind
 from empower.paths import EmergyPath, enumerate_emergy_paths
-from helpers import arc_with_most_paths, naive_find_p4
+from helpers import arc_with_most_paths, is_p4_free, naive_find_p4, pairwise_compatible
 
 
 class TestLongestCommonPrefix:

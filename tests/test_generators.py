@@ -74,6 +74,13 @@ class TestRandomFamilies:
         with pytest.raises(ValueError):
             random_cyclic(3, 0.5, 1, 0)
 
+    @pytest.mark.parametrize("density", [-0.1, 1.5, 5.0, float("nan")])
+    def test_rejects_density_outside_unit_interval(self, density):
+        with pytest.raises(ValueError, match="arc density"):
+            random_dag(10, density, 0)
+        with pytest.raises(ValueError, match="arc density"):
+            random_cyclic(10, density, 1, 0)
+
 
 class TestRandomDigraph:
     @given(st.integers(0, 10_000))
@@ -94,3 +101,8 @@ class TestRandomDigraph:
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             random_digraph(1, 0.5, 0)
+
+    @pytest.mark.parametrize("prob", [-1.0, 1.01, float("nan")])
+    def test_rejects_probability_outside_unit_interval(self, prob):
+        with pytest.raises(ValueError, match="arc probability"):
+            random_digraph(4, prob, 1)

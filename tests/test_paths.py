@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from empower.generators import random_cyclic, random_dag
-from empower.paths import enumerate_emergy_paths, path_value
-from helpers import concat_paths, oracle_emergy_paths, satisfies_path_definition
+from empower.paths import enumerate_emergy_paths
+from helpers import concat_paths, oracle_emergy_paths, path_value, satisfies_path_definition
 
 TEXTBOOK_INVENTORY = {
     (1, 2, 4, 7): Fraction(70),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from empower.compat import build_compatibility_graph, compatible, pairwise_compatible
+from empower.compat import build_compatibility_graph, compatible
 from empower.generators import (
     diamond_chain,
     random_cyclic,
@@ -26,6 +26,7 @@ from helpers import (
     best_compatible_value,
     build_source_trie,
     evaluate_trie,
+    pairwise_compatible,
     trie_solve,
 )
 
