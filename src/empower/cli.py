@@ -211,7 +211,6 @@ def cmd_count_paths(args) -> int:
 
 def cmd_gen(args) -> int:
     from . import generators
-    from .hardness import build_reduction, parse_digraph, serialize_digraph
 
     try:
         if args.family == "diamond-chain":
@@ -229,12 +228,16 @@ def cmd_gen(args) -> int:
                   f"back-arcs={args.back_arcs} seed={args.seed}")
             sys.stdout.write(serialize_graph(g))
         elif args.family == "random-digraph":
+            from .hardness import serialize_digraph
+
             d = generators.random_digraph(args.nodes, args.arc_prob, args.seed)
             print(f"# random-digraph vertices={args.nodes} arc-prob={args.arc_prob} seed={args.seed}")
             sys.stdout.write(serialize_digraph(d))
         elif args.family == "reduction":
             if args.digraph is None:
                 return _fail("the reduction family needs --digraph FILE", 2)
+            from .hardness import build_reduction, parse_digraph
+
             d = parse_digraph(_read(args.digraph))
             inst = build_reduction(d)
             print(f"# reduction of {args.digraph}; bound={inst.bound}")
@@ -305,7 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # exact values can have more digits than `str` gives by default; numbers
+    # read from files keep their own bound (`graph._to_int`)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .graph import EmergyGraph, NodeKind
-from .hardness import Digraph
+
+if TYPE_CHECKING:
+    from .hardness import Digraph
 
 
 def diamond_chain(layers: int, source_emergy: Fraction | int = 1) -> tuple[EmergyGraph, tuple[int, int]]:
@@ -188,6 +191,8 @@ def random_no_split_graph(nodes: int, seed: int) -> EmergyGraph:
 
 def random_digraph(vertices: int, arc_prob: float, seed: int) -> Digraph:
     """A counting instance: start 1, target `vertices`, each arc kept with `arc_prob`."""
+    from .hardness import Digraph
+
     if vertices < 2:
         raise ValueError("need at least 2 vertices")
     _check_probability("arc probability", arc_prob)

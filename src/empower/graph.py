@@ -126,11 +126,15 @@ _ID = re.compile(r"[0-9]+")
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
+# the most digits a number in a file may have: the interpreter's default
+# int-string limit, which `cli.main` lifts so that exact results print whole
+_MAX_DIGITS = 4300
+
+
 def _to_int(text: str, what: str, line: int, col: int) -> int:
-    try:
-        return int(text)
-    except ValueError:  # more digits than `int` accepts from a string
-        raise ParseError(f"{what} {text[:20]}... is too long", line, col) from None
+    if len(text.lstrip("+-")) > _MAX_DIGITS:
+        raise ParseError(f"{what} {text[:20]}... is too long", line, col)
+    return int(text)
 
 
 def _parse_rational(token: str, line: int, col: int) -> Fraction:

@@ -8,15 +8,15 @@ a drain output. With no co-products present, every set of emergy paths is
 compatible, so the returned value is the plain sum over all paths, and a
 path with i arcs contributes exactly (exit weight)/B^(i-2). Dividing out the
 exit weight leaves a number whose base-B digits are the per-length path
-counts. The digit extraction is exact rational arithmetic throughout; a
-direct backtracking counter serves as the independent cross-check.
+counts, read by integer division once one power of B makes it an integer;
+a direct backtracking counter serves as the independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .graph import EmergyGraph, NodeKind, ParseError, parse_id, tokenize
 from .solver import solve_general
@@ -152,7 +152,7 @@ def simple_path_bound(d: Digraph) -> int:
     sequences of that length: n!/(n-i)! for i = 1..n.
     """
     n = len(d.vertices)
-    return sum(math.factorial(n) // math.factorial(n - i) for i in range(1, n + 1))
+    return sum(math.perm(n, i) for i in range(1, n + 1))
 
 
 def build_reduction(d: Digraph) -> ReductionInstance:
@@ -192,26 +192,26 @@ def decode_counts(value: Fraction, base: int, max_arcs: int) -> PathCountVector:
     """Read the per-length counts out of a base-1/`base` expansion.
 
     The input must equal sum over i of n_i / base^(i-2) with every digit in
-    [0, base); digits come out by repeated floor and rescale, and anything
-    left over at the end means the value was not of that shape.
+    [0, base). Times base^(max_arcs-2) it is then an integer whose base-`base`
+    digits, least significant first, are n_max_arcs down to n_2; a remainder
+    means the value was not of that shape.
     """
+    num, den = value.numerator, value.denominator
+    if not 0 <= num < base * den:
+        raise ValueError(f"the digit for length 2 is outside [0, {base})")
+    scale, residue = divmod(base ** (max_arcs - 2), den)
+    if residue:
+        raise ValueError(f"nonzero residue after {max_arcs} digits")
+    rest = num * scale
     counts: dict[int, int] = {}
-    residue = Fraction(value)
-    for i in range(2, max_arcs + 1):
-        digit = math.floor(residue)
-        if not 0 <= digit < base:
-            raise ValueError(f"digit {digit} for length {i} is outside [0, {base})")
-        counts[i] = digit
-        residue = (residue - digit) * base
-    if residue != 0:
-        raise ValueError(f"nonzero residue {residue} after {max_arcs} digits")
+    for i in range(max_arcs, 1, -1):
+        rest, counts[i] = divmod(rest, base)
     return PathCountVector.of(counts)
 
 
-def enumerate_simple_paths(d: Digraph) -> list[tuple[int, ...]]:
-    """All simple start-to-target vertex sequences, by iterative
+def enumerate_simple_paths(d: Digraph) -> Iterator[tuple[int, ...]]:
+    """Yield every simple start-to-target vertex sequence, by iterative
     backtracking with successors ascending, so they come out sorted."""
-    found: list[tuple[int, ...]] = []
     path = [d.start]
     seen = {d.start}
     frames = [iter(d.successors(d.start))]
@@ -221,12 +221,11 @@ def enumerate_simple_paths(d: Digraph) -> list[tuple[int, ...]]:
             frames.pop()
             seen.discard(path.pop())
         elif nxt == d.target:
-            found.append((*path, nxt))
+            yield (*path, nxt)
         elif nxt not in seen:
             path.append(nxt)
             seen.add(nxt)
             frames.append(iter(d.successors(nxt)))
-    return found
 
 
 def dfs_counts(d: Digraph) -> PathCountVector:
@@ -256,5 +255,5 @@ def count_simple_paths(d: Digraph, method: str = "reduction") -> int:
     if method == "reduction":
         return reduction_counts(d).total
     if method == "dfs":
-        return len(enumerate_simple_paths(d))
+        return sum(1 for _ in enumerate_simple_paths(d))
     raise ValueError(f"unknown method {method!r}")

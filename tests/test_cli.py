@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -305,6 +306,73 @@ class TestCountPathsCommand:
         assert main(["count-paths", str(f)]) == 2
 
 
+def unlimited_str(n: int) -> str:
+    """`str(n)` past the interpreter's digit limit, which tests leave as it is."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
+def line_reduction(tmp_path, capsys):
+    """The reduction of a 100-vertex line digraph, and its bound B. Its one
+    path to the arc 100,102 has the value 1/B^99, of about 15,700 digits."""
+    lines = [f"vertex {i}" for i in range(1, 101)]
+    lines += [f"edge {i} {i + 1}" for i in range(1, 100)]
+    dg = tmp_path / "line.dg"
+    dg.write_text("\n".join(lines + ["start 1", "target 100"]) + "\n")
+    assert main(["gen", "--family", "reduction", "--digraph", str(dg)]) == 0
+    out = capsys.readouterr().out
+    f = tmp_path / "line.eg"
+    f.write_text(out)
+    return str(f), int(out.split("bound=", 1)[1].split("\n", 1)[0])
+
+
+class TestLongExactValues:
+    """Values past the interpreter's 4,300-digit int-string limit print whole."""
+
+    def test_solve_prints_every_digit(self, line_reduction, capsys):
+        path, bound = line_reduction
+        assert main(["solve", path, "--arc", "100,102"]) == 0
+        assert capsys.readouterr().out == f"Em = 1/{unlimited_str(bound ** 99)} (0.00)\n"
+
+    def test_paths_prints_every_digit(self, line_reduction, capsys):
+        path, bound = line_reduction
+        assert main(["paths", path, "--arc", "100,102"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert out.endswith(f" value=1/{unlimited_str(bound ** 99)}\n")
+
+    def test_many_places(self, capsys):
+        assert main(["solve", TEXTBOOK, "--arc", "7,8", "--places", "5000"]) == 0
+        assert capsys.readouterr().out == f"Em = 350 (350.{'0' * 5000})\n"
+
+    def test_overlong_number_in_a_file_exits_two(self, tmp_path, capsys):
+        f = tmp_path / "long.eg"
+        f.write_text("node 1 source " + "7" * 4301 + "\nnode 2 output\narc 1 2 1\n")
+        assert main(["validate", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "too long" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", TEXTBOOK, "--arc", "7,8"],
+        ["solve", TEXTBOOK, "--arc", "9,9"],
+        ["validate", "/nonexistent/file.eg"],
+    ])
+    def test_main_restores_the_limit(self, argv, capsys):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            with contextlib.suppress(SystemExit):
+                main(argv)
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(before)
+
+
 class TestGenCommand:
     def test_deterministic_output(self, capsys):
         argv = ["gen", "--family", "random-dag", "--nodes", "12",
@@ -385,6 +453,17 @@ class TestStartupImports:
         loaded = set(proc.stdout.splitlines()[-1].split())
         assert "empower.cli" in loaded
         assert loaded & self.NOT_NEEDED == set()
+
+    def test_gen_loads_no_counting_or_compatibility(self):
+        src = str(Path(empower.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, "gen", "--family", "random-dag"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        assert "empower.generators" in loaded
+        assert loaded & {"empower.hardness", "empower.compat"} == set()
 
     def test_package_uses_no_dataclasses(self):
         package = Path(empower.__file__).parent

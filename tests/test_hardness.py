@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -122,7 +123,29 @@ class TestBuildReduction:
             assert p.value == exit_weight / inst.bound ** (p.arc_count - 2)
 
 
+@st.composite
+def expansions(draw):
+    """A base, the digits for lengths 2 upward, and the value they spell."""
+    base = draw(st.integers(2, 2 ** 64))
+    digit = st.one_of(st.sampled_from([0, base - 1]), st.integers(0, base - 1))
+    digits = draw(st.lists(digit, min_size=1, max_size=60))
+    return base, digits, sum(Fraction(n, base ** j) for j, n in enumerate(digits))
+
+
 class TestDecode:
+    @given(expansions(), st.integers(0, 2 ** 64), st.integers(2, 2 ** 64))
+    @settings(deadline=None)
+    def test_round_trip(self, expansion, excess, split):
+        base, digits, value = expansion
+        max_arcs = len(digits) + 1
+        assert decode_counts(value, base, max_arcs).counts == tuple(enumerate(digits, start=2))
+        for leading in (base + excess, -1 - excess):
+            with pytest.raises(ValueError, match="outside"):
+                decode_counts(value - digits[0] + leading, base, max_arcs)
+        below_last_digit = Fraction(1, base ** (max_arcs - 2) * split)
+        with pytest.raises(ValueError, match="residue"):
+            decode_counts(value + below_last_digit, base, max_arcs)
+
     def test_two_digits(self):
         vec = decode_counts(Fraction(2) + Fraction(3, 15), 15, 3)
         assert vec.counts == ((2, 2), (3, 3))
@@ -172,7 +195,7 @@ class TestCounting:
 
     def test_enumeration_is_sorted_and_simple(self):
         d = digraph(4, {(1, 2), (2, 3), (3, 4), (1, 3), (2, 4)})
-        paths = enumerate_simple_paths(d)
+        paths = list(enumerate_simple_paths(d))
         assert paths == sorted(paths)
         for p in paths:
             assert len(set(p)) == len(p)
@@ -180,12 +203,24 @@ class TestCounting:
 
     def test_long_line_needs_no_recursion(self):
         line = digraph(1200, {(i, i + 1) for i in range(1, 1200)})
-        assert enumerate_simple_paths(line) == [tuple(range(1, 1201))]
+        assert list(enumerate_simple_paths(line)) == [tuple(range(1, 1201))]
         assert count_simple_paths(line, "dfs") == 1
         # the reduction's denominators grow like the bound (about n!), so it
         # is checked on a shorter line
         line = digraph(120, {(i, i + 1) for i in range(1, 120)})
         assert count_simple_paths(line, "reduction") == count_simple_paths(line, "dfs") == 1
+
+    def test_dfs_count_lists_no_paths(self):
+        # 13,700 simple paths from 1 to 9 in the complete digraph on 9 vertices;
+        # as a list of tuples they take about 1.5 MB
+        d = digraph(9, {(a, b) for a in range(1, 10) for b in range(1, 10) if a != b})
+        tracemalloc.start()
+        try:
+            assert count_simple_paths(d, "dfs") == 13_700
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
