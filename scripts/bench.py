@@ -1,0 +1,262 @@
+#!/usr/bin/env python3
+"""Measure `empower` packages side by side and write BENCH_<suite>.json.
+
+    git archive HEAD~1 src | tar -x -C /tmp/before
+    python scripts/bench.py SUITE --src before=/tmp/before/src --src after=src [--repeats N]
+
+Each `--src [NAME=]DIR` is a directory holding the `empower` package. Every
+measurement runs in a fresh interpreter with PYTHONDONTWRITEBYTECODE=1, the
+sides interleaved in an order that rotates from repeat to repeat. Medians and
+quartiles in ms go to stdout and, with the Python version, platform and CPU
+count, to BENCH_<suite>.json at the repository root. The suites:
+
+- `cli-startup` (15 repeats): the CPU time (user plus system, from the
+  rusage of the finished child, steadier on a shared host than wall time) of
+  each command as `python -m empower.cli ...`, next to `python -c pass`. Each
+  side's package is copied twice: `compiled` never gets a bytecode cache, as
+  `perfbench/` runs from a fresh checkout; `cached` has the bytecode of one
+  earlier run of each command. Every command must exit 0.
+- `count-paths` (5 repeats): one process per instance times by wall clock
+  one call each of `build_reduction`, `solve_general` on the wrapped
+  instance, `decode_counts` on its value and `count_simple_paths(d, "dfs")`,
+  then the `tracemalloc` peak of one more DFS count. The instances are lines
+  of 100, 200 and 400 vertices, where the reduction's numbers are longest,
+  and `random_digraph(12, 0.6, 1)`, with 96,625 simple paths. Every run must
+  decode the count the DFS finds, and the sides must count alike.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+DIGRAPH = "vertex 1\nvertex 2\nvertex 3\nvertex 4\n" \
+          "edge 1 2\nedge 2 3\nedge 1 3\nedge 3 4\nedge 2 4\nstart 1\ntarget 4\n"
+
+# label -> arguments; TEXTBOOK and DIGRAPH stand for the input files
+COMMANDS = {
+    "solve": ["solve", "TEXTBOOK", "--arc", "7,8"],
+    "solve-4,7-state": ["solve", "TEXTBOOK", "--arc", "4,7", "--state"],
+    "validate": ["validate", "TEXTBOOK"],
+    "paths": ["paths", "TEXTBOOK", "--arc", "4,7"],
+    "check-cograph": ["check-cograph", "TEXTBOOK", "--arc", "4,7"],
+    "count-paths": ["count-paths", "DIGRAPH"],
+    "gen": ["gen", "--family", "random-dag", "--nodes", "12", "--seed", "1"],
+}
+STATES = ("compiled", "cached")
+
+INSTANCES = {
+    "line-100": "line digraph 1 -> 2 -> ... -> 100, start 1, target 100",
+    "line-200": "line digraph 1 -> 2 -> ... -> 200, start 1, target 200",
+    "line-400": "line digraph 1 -> 2 -> ... -> 400, start 1, target 400",
+    "random-digraph-12": "generators.random_digraph(12, 0.6, 1), start 1, target 12",
+}
+STAGES = ("build_reduction", "solve_general", "decode_counts", "dfs_count")
+
+
+def run(argv: list[str], pythonpath: Path, write_bytecode: bool = False) -> tuple[float, str]:
+    """CPU time in ms and stdout of one child process, which must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(pythonpath), PYTHONDONTWRITEBYTECODE="1")
+    if write_bytecode:
+        del env["PYTHONDONTWRITEBYTECODE"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(argv, env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(argv)} under {pythonpath} failed:\n{proc.stderr}")
+    return (after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime) * 1000, proc.stdout
+
+
+def rotated(items: list, r: int) -> list:
+    """`items` in the order of repeat `r`: each repeat starts one further on."""
+    k = r % len(items)
+    return items[k:] + items[:k]
+
+
+def summary(samples: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+
+
+def table(corner: str, columns: list[str], rows: dict[str, list[float]]) -> None:
+    width = max(map(len, [corner, *rows])) + 2
+    print(f"{corner:<{width}}" + "".join(f"{c:>22}" for c in columns))
+    for label, values in rows.items():
+        print(f"{label:<{width}}" + "".join(f"{v:>22.2f}" for v in values))
+
+
+def cli_startup(sides: dict[str, Path], repeats: int) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        inputs = {"DIGRAPH": tmp / "input.dg", "TEXTBOOK": tmp / "textbook.eg"}
+        inputs["DIGRAPH"].write_text(DIGRAPH)
+        shutil.copy(next(iter(sides.values())) / "empower" / "data" / "textbook.eg",
+                    inputs["TEXTBOOK"])
+        commands = {label: [sys.executable, "-m", "empower.cli",
+                            *(str(inputs.get(a, a)) for a in argv)]
+                    for label, argv in COMMANDS.items()}
+        runs = []  # (side, state, pythonpath)
+        for i, (name, src) in enumerate(sides.items()):
+            for state in STATES:
+                home = tmp / f"{i}-{state}"
+                shutil.copytree(src / "empower", home / "empower",
+                                ignore=shutil.ignore_patterns("__pycache__"))
+                runs.append((name, state, home))
+                if state == "cached":
+                    for argv in commands.values():
+                        run(argv, home, write_bytecode=True)
+
+        floor: list[float] = []
+        samples = {(name, state, label): [] for name, state, _ in runs for label in commands}
+        for r in range(repeats):
+            floor.append(run([sys.executable, "-c", "pass"], tmp)[0])
+            for name, state, home in rotated(runs, r):
+                for label, argv in commands.items():
+                    samples[name, state, label].append(run(argv, home)[0])
+
+    results = {name: {state: {label: summary(samples[name, state, label]) for label in commands}
+                      for state in STATES}
+               for name in sides}
+    print(f"python -c pass: {summary(floor)['median']:.1f} ms (median of {repeats})")
+    table("command", [f"{name} {state}" for name in sides for state in STATES],
+          {label: [results[name][state][label]["median"] for name in sides for state in STATES]
+           for label in commands})
+    return {
+        "metric": "child CPU time (user + system) of one process, ms: median and quartiles",
+        "repeats": repeats,
+        "commands": {label: "empower " + " ".join(argv) for label, argv in COMMANDS.items()},
+        "inputs": {"TEXTBOOK": "empower/data/textbook.eg", "DIGRAPH": DIGRAPH},
+        "states": {"compiled": "no bytecode cache: every process compiles the package",
+                   "cached": "bytecode written by an earlier run of each command"},
+        "floor_python_c_pass": summary(floor),
+        "results": results,
+    }
+
+
+def count_paths_child(label: str) -> None:
+    """Time one instance with the `empower` on the path; print a JSON line."""
+    import time
+    import tracemalloc
+
+    from empower.generators import random_digraph
+    from empower.hardness import Digraph, build_reduction, count_simple_paths, decode_counts
+    from empower.solver import solve_general
+
+    if label.startswith("line-"):
+        n = int(label.split("-")[1])
+        d = Digraph(frozenset(range(1, n + 1)),
+                    frozenset((i, i + 1) for i in range(1, n)), 1, n)
+    else:
+        d = random_digraph(12, 0.6, 1)
+    ms = {}
+
+    def timed(stage, call):
+        started = time.perf_counter()
+        out = call()
+        ms[stage] = (time.perf_counter() - started) * 1000
+        return out
+
+    inst = timed("build_reduction", lambda: build_reduction(d))
+    value = timed("solve_general", lambda: solve_general(inst.graph, inst.target_arc).value)
+    vector = timed("decode_counts", lambda: decode_counts(
+        value / inst.graph.arcs[inst.target_arc], inst.bound, len(d.vertices) + 1))
+    paths = timed("dfs_count", lambda: count_simple_paths(d, "dfs"))
+    tracemalloc.start()
+    count_simple_paths(d, "dfs")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(json.dumps({"ms": ms, "decoded": vector.total, "dfs": paths,
+                      "bound_bits": inst.bound.bit_length(), "dfs_peak_bytes": peak}))
+
+
+def count_paths(sides: dict[str, Path], repeats: int) -> dict:
+    outs = {(name, label): [] for name in sides for label in INSTANCES}
+    for r in range(repeats):
+        for name in rotated(list(sides), r):
+            for label in INSTANCES:
+                stdout = run([sys.executable, __file__, "count-paths", "--child", label],
+                             sides[name])[1]
+                out = json.loads(stdout.splitlines()[-1])
+                if out["decoded"] != out["dfs"]:
+                    raise SystemExit(f"{label} under {sides[name]}: reduction decoded "
+                                     f"{out['decoded']} paths, the DFS counted {out['dfs']}")
+                outs[name, label].append(out)
+    for label in INSTANCES:
+        counts = {outs[name, label][0]["dfs"] for name in sides}
+        if len(counts) > 1:
+            raise SystemExit(f"{label}: the sides count different numbers of paths {counts}")
+
+    results = {name: {label: {
+        "simple_paths": outs[name, label][0]["dfs"],
+        "bound_bits": outs[name, label][0]["bound_bits"],
+        "dfs_peak_kib": round(outs[name, label][0]["dfs_peak_bytes"] / 1024, 1),
+        **{stage: summary([o["ms"][stage] for o in outs[name, label]]) for stage in STAGES}}
+        for label in INSTANCES} for name in sides}
+    rows = {}
+    for label in INSTANCES:
+        for stage in STAGES:
+            rows[f"{label} {stage}"] = [results[name][label][stage]["median"] for name in sides]
+        rows[f"{label} dfs_peak_kib"] = [results[name][label]["dfs_peak_kib"] for name in sides]
+    table("instance stage", list(sides), rows)
+    return {
+        "metric": "wall time of one call per stage in a fresh process, ms: median and "
+                  "quartiles; dfs_peak_kib is the tracemalloc peak of one DFS count",
+        "repeats": repeats,
+        "instances": INSTANCES,
+        "stages": {
+            "build_reduction": "hardness.build_reduction(d)",
+            "solve_general": "solver.solve_general on the wrapped instance's target arc",
+            "decode_counts": "hardness.decode_counts(value / exit weight, bound, n + 1)",
+            "dfs_count": "hardness.count_simple_paths(d, 'dfs')",
+        },
+        "results": results,
+    }
+
+
+# suite -> (function, default repeats)
+SUITES = {"cli-startup": (cli_startup, 15), "count-paths": (count_paths, 5)}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("suite", choices=SUITES)
+    parser.add_argument("--src", action="append", metavar="[NAME=]DIR",
+                        help="a directory holding the empower package; repeat to compare")
+    parser.add_argument("--repeats", type=int, help="15 for cli-startup, 5 for count-paths")
+    parser.add_argument("--child", choices=INSTANCES, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        count_paths_child(args.child)
+        return
+    suite, default_repeats = SUITES[args.suite]
+    repeats = default_repeats if args.repeats is None else args.repeats
+    if not args.src:
+        parser.error("give at least one --src")
+    if repeats < 2:
+        parser.error("--repeats must be at least 2")
+
+    sides = {}
+    for spec in args.src:
+        name, _, path = spec.rpartition("=")
+        if not (Path(path) / "empower" / "cli.py").is_file():
+            parser.error(f"{path} holds no empower package")
+        sides[name or path] = Path(path).resolve()
+
+    record = {"python": platform.python_version(), "platform": platform.platform(),
+              "cpus": os.cpu_count(), **suite(sides, repeats)}
+    (ROOT / f"BENCH_{args.suite}.json").write_text(json.dumps(record, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

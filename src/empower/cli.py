@@ -212,39 +212,45 @@ def cmd_count_paths(args) -> int:
 def cmd_gen(args) -> int:
     from . import generators
 
+    # the text is built before anything is printed, so a refusal prints nothing
     try:
         if args.family == "diamond-chain":
             g, arc = generators.diamond_chain(args.length, args.source_emergy)
-            print(f"# diamond-chain length={args.length}")
-            print(f"# suggested target arc: {arc[0]},{arc[1]}")
-            sys.stdout.write(serialize_graph(g))
+            header = [f"diamond-chain length={args.length}",
+                      f"suggested target arc: {arc[0]},{arc[1]}"]
+            text = serialize_graph(g)
         elif args.family == "random-dag":
             g = generators.random_dag(args.nodes, args.arc_density, args.seed)
-            print(f"# random-dag nodes={args.nodes} arc-density={args.arc_density} seed={args.seed}")
-            sys.stdout.write(serialize_graph(g))
+            header = [f"random-dag nodes={args.nodes} arc-density={args.arc_density} "
+                      f"seed={args.seed}"]
+            text = serialize_graph(g)
         elif args.family == "random-cyclic":
             g = generators.random_cyclic(args.nodes, args.arc_density, args.back_arcs, args.seed)
-            print(f"# random-cyclic nodes={args.nodes} arc-density={args.arc_density} "
-                  f"back-arcs={args.back_arcs} seed={args.seed}")
-            sys.stdout.write(serialize_graph(g))
+            header = [f"random-cyclic nodes={args.nodes} arc-density={args.arc_density} "
+                      f"back-arcs={args.back_arcs} seed={args.seed}"]
+            text = serialize_graph(g)
         elif args.family == "random-digraph":
             from .hardness import serialize_digraph
 
             d = generators.random_digraph(args.nodes, args.arc_prob, args.seed)
-            print(f"# random-digraph vertices={args.nodes} arc-prob={args.arc_prob} seed={args.seed}")
-            sys.stdout.write(serialize_digraph(d))
-        elif args.family == "reduction":
+            header = [f"random-digraph vertices={args.nodes} arc-prob={args.arc_prob} "
+                      f"seed={args.seed}"]
+            text = serialize_digraph(d)
+        else:
             if args.digraph is None:
                 return _fail("the reduction family needs --digraph FILE", 2)
             from .hardness import build_reduction, parse_digraph
 
             d = parse_digraph(_read(args.digraph))
             inst = build_reduction(d)
-            print(f"# reduction of {args.digraph}; bound={inst.bound}")
-            print(f"# target arc: {inst.target_arc[0]},{inst.target_arc[1]}")
-            sys.stdout.write(serialize_graph(inst.graph))
+            header = [f"reduction of {args.digraph}; bound={inst.bound}",
+                      f"target arc: {inst.target_arc[0]},{inst.target_arc[1]}"]
+            text = serialize_graph(inst.graph)
     except ValueError as exc:
         return _fail(str(exc), 2)
+    for line in header:
+        print(f"# {line}")
+    sys.stdout.write(text)
     return 0
 
 

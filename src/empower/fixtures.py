@@ -10,24 +10,18 @@ part ways at split node 8, giving 315.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from .graph import EmergyGraph, parse_graph
 
 
-def textbook_text() -> str:
-    return resources.files(__package__).joinpath("data/textbook.eg").read_text()
-
-
 def textbook_path() -> Path:
     # the package is installed from source, so the data file is a real path
-    with resources.as_file(resources.files(__package__).joinpath("data/textbook.eg")) as p:
-        return Path(p)
+    return Path(__file__).with_name("data") / "textbook.eg"
 
 
 def load_textbook() -> EmergyGraph:
-    return parse_graph(textbook_text())
+    return parse_graph(textbook_path().read_text(encoding="utf-8"))
 
 
 TEXTBOOK_NOTICE = (

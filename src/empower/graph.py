@@ -126,9 +126,11 @@ _ID = re.compile(r"[0-9]+")
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-# the most digits a number in a file may have: the interpreter's default
-# int-string limit, which `cli.main` lifts so that exact results print whole
+# the most digits a number in a file may have, read or written: the
+# interpreter's default int-string limit, which `cli.main` lifts so that exact
+# results print whole
 _MAX_DIGITS = 4300
+_TOO_LONG = 10 ** _MAX_DIGITS
 
 
 def _to_int(text: str, what: str, line: int, col: int) -> int:
@@ -227,17 +229,27 @@ def parse_graph(text: str) -> EmergyGraph:
     return EmergyGraph(kinds, emergy, arcs)
 
 
+def _rational_text(x: Fraction) -> str:
+    if max(abs(x.numerator), x.denominator) >= _TOO_LONG:
+        raise ValueError(f"a number has more than {_MAX_DIGITS} digits, "
+                         "more than an instance file may hold")
+    return str(x)
+
+
 def serialize_graph(g: EmergyGraph) -> str:
-    """Canonical text form: nodes ascending, then arcs ascending by (from, to)."""
+    """Canonical text form: nodes ascending, then arcs ascending by (from, to).
+
+    Raises ValueError for a number longer than `parse_graph` reads back.
+    """
     lines = []
     for i in g.nodes:
         k = g.kind[i]
         if k is NodeKind.SOURCE:
-            lines.append(f"node {i} source {g.source_emergy[i]}")
+            lines.append(f"node {i} source {_rational_text(g.source_emergy[i])}")
         else:
             lines.append(f"node {i} {k.value}")
     for (a, b) in sorted(g.arcs):
-        lines.append(f"arc {a} {b} {g.arcs[(a, b)]}")
+        lines.append(f"arc {a} {b} {_rational_text(g.arcs[(a, b)])}")
     return "\n".join(lines) + "\n"
 
 

@@ -163,7 +163,9 @@ def build_reduction(d: Digraph) -> ReductionInstance:
     leftover weight. Every original vertex becomes a split whose original
     arcs weigh 1/B, so its outgoing weights sum to one exactly; the target
     vertex routes its leftover to the sink instead of the drain, keeping the
-    sum intact there too.
+    sum intact there too. Every leftover 1 - degree/B is positive: a vertex
+    has at most n - 1 out-arcs, as a digraph has no self-loops or repeated
+    arcs, while B >= n!/(n-1)! = n.
     """
     bound = simple_path_bound(d)
     top = max(d.vertices)
@@ -176,10 +178,7 @@ def build_reduction(d: Digraph) -> ReductionInstance:
         (a, b): Fraction(1, bound) for a, b in d.arcs}
     arcs[(source, d.start)] = Fraction(1)
     for v in sorted(d.vertices):
-        degree = d.out_degree(v)
-        if degree >= bound:
-            raise ValueError(f"vertex {v} out-degree {degree} reaches the bound {bound}")
-        leftover = 1 - Fraction(degree, bound)
+        leftover = 1 - Fraction(d.out_degree(v), bound)
         if v == d.target:
             arcs[(v, sink)] = leftover
         else:

@@ -13,9 +13,10 @@ import pytest
 
 import empower
 from empower.cli import decimal_string, main
-from empower.fixtures import textbook_path
-from empower.generators import diamond_chain
+from empower.fixtures import TEXTBOOK_NOTICE, textbook_path
+from empower.generators import diamond_chain, random_digraph
 from empower.graph import parse_graph, serialize_graph, validate_graph
+from empower.hardness import parse_digraph
 
 TEXTBOOK = str(textbook_path())
 
@@ -114,6 +115,21 @@ class TestSolveCommand:
         assert main(["solve", TEXTBOOK, "--arc", "7,11"]) == 0
         assert "303.75" not in capsys.readouterr().out
 
+    def test_notice_on_the_textbook_in_another_layout(self, tmp_path, capsys):
+        f = tmp_path / "reordered.eg"
+        lines = textbook_path().read_text().splitlines()
+        f.write_text("# the textbook, arcs first\n" + "\n".join(reversed(lines)) + "\n")
+        assert main(["solve", str(f), "--arc", "4,7"]) == 0
+        assert capsys.readouterr().out == f"Em = 315 (315.00)\n{TEXTBOOK_NOTICE}\n"
+
+    def test_no_notice_on_another_instance_of_its_size(self, tmp_path, capsys):
+        f = tmp_path / "changed.eg"
+        f.write_text(textbook_path().read_text().replace("node 1 source 100",
+                                                          "node 1 source 101"))
+        assert main(["solve", str(f), "--arc", "4,7"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Em = ") and "303.75" not in out
+
     def test_state_listing(self, capsys):
         assert main(["solve", TEXTBOOK, "--arc", "4,7", "--state"]) == 0
         out = capsys.readouterr().out
@@ -126,6 +142,12 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert "Em = 5 (5.00)" in out
         assert "empower = 5/2 (2.50)" in out
+
+    def test_records_period(self, trivial_file, capsys):
+        assert main(["solve", trivial_file, "--arc", "1,2", "--format", "records",
+                     "--period", "7/4"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:] == ["empower period=7/4 value=20/7 decimal=2.86"]
 
     def test_records_format(self, capsys):
         assert main(["solve", TEXTBOOK, "--arc", "4,7", "--format", "records",
@@ -189,6 +211,19 @@ class TestSolveCommand:
         assert captured.out == "" and "must not be negative" in captured.err
         assert main(["solve", TEXTBOOK, "--arc", "4,7", "--places", "0"]) == 0
         assert capsys.readouterr().out.startswith("Em = 315 (315)\n")
+
+    @pytest.mark.parametrize("options, message", [
+        (["--arc", "1,x"], "arc endpoints must be integers: '1,x'"),
+        (["--arc", "4,7", "--period", "0"], "value must be positive"),
+        (["--arc", "4,7", "--period", "abc"], "expected a rational, got 'abc'"),
+        (["--arc", "4,7", "--places", "x"], "expected an integer, got 'x'"),
+    ])
+    def test_bad_option_value_exits_two(self, options, message, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["solve", TEXTBOOK, *options])
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
     def test_bad_arc_exits_two(self, capsys):
         assert main(["solve", TEXTBOOK, "--arc", "1,7"]) == 2
@@ -305,6 +340,21 @@ class TestCountPathsCommand:
         f.write_text("vertex 1\nstart 1\ntarget 1\n")
         assert main(["count-paths", str(f)]) == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("edge 1", "edge line needs 2 vertex id(s)"),
+        ("edge 2 2", "self-loop edge (2, 2)"),
+        ("start 2", "duplicate start line"),
+        ("target 1", "duplicate target line"),
+    ])
+    def test_malformed_line_exits_two(self, tmp_path, capsys, line, message):
+        f = tmp_path / "bad.dg"
+        f.write_text(f"vertex 1\nvertex 2\nedge 1 2\nstart 1\ntarget 2\n{line}\n")
+        assert main(["count-paths", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {f}: line 6, column 1: {message}")
+
 
 def unlimited_str(n: int) -> str:
     """`str(n)` past the interpreter's digit limit, which tests leave as it is."""
@@ -399,6 +449,21 @@ class TestGenCommand:
         g = parse_graph(out)
         assert validate_graph(g) == []
 
+    def test_reduction_too_long_to_read_back_exits_two(self, tmp_path, capsys):
+        n = 1600  # the bound B of this line has 4,435 digits, which no file may hold
+        f = tmp_path / "line.dg"
+        f.write_text("\n".join([f"vertex {i}" for i in range(1, n + 1)]
+                               + [f"edge {i} {i + 1}" for i in range(1, n)]
+                               + ["start 1", f"target {n}"]) + "\n")
+        assert main(["gen", "--family", "reduction", "--digraph", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+    def test_random_digraph_family(self, capsys):
+        assert main(["gen", "--family", "random-digraph", "--nodes", "6", "--seed", "2"]) == 0
+        assert parse_digraph(capsys.readouterr().out) == random_digraph(6, 0.5, 2)
+
     def test_reduction_family_needs_digraph(self, capsys):
         assert main(["gen", "--family", "reduction"]) == 2
 
@@ -434,6 +499,17 @@ sys.exit(code)
 """
 
 
+def modules_loaded_by(argv: list[str]) -> set[str]:
+    """The modules `main(argv)` loads in a fresh interpreter; it must exit 0."""
+    src = str(Path(empower.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
 class TestStartupImports:
     NOT_NEEDED = {"dataclasses", "empower.hardness", "empower.compat",
                   "empower.generators", "empower.dag"}
@@ -444,24 +520,12 @@ class TestStartupImports:
         ["validate", TEXTBOOK],
     ])
     def test_command_loads_only_what_it_runs(self, argv):
-        src = str(Path(empower.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        loaded = set(proc.stdout.splitlines()[-1].split())
+        loaded = modules_loaded_by(argv)
         assert "empower.cli" in loaded
         assert loaded & self.NOT_NEEDED == set()
 
     def test_gen_loads_no_counting_or_compatibility(self):
-        src = str(Path(empower.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, "gen", "--family", "random-dag"],
-                              capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        loaded = set(proc.stdout.splitlines()[-1].split())
+        loaded = modules_loaded_by(["gen", "--family", "random-dag"])
         assert "empower.generators" in loaded
         assert loaded & {"empower.hardness", "empower.compat"} == set()
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -207,9 +208,30 @@ class TestValidate:
         assert validate_graph(g) == []
 
 
+def one_arc(weight: Fraction) -> EmergyGraph:
+    return EmergyGraph({1: NodeKind.SOURCE, 2: NodeKind.OUTPUT}, {1: Fraction(1)},
+                       {(1, 2): weight})
+
+
 class TestSerialize:
     def test_round_trip_textbook(self, textbook):
         assert parse_graph(serialize_graph(textbook)) == textbook
+
+    def test_longest_number_round_trips(self):
+        g = one_arc(Fraction(1, 10 ** 4299 + 1))  # a 4,300-digit denominator
+        assert parse_graph(serialize_graph(g)) == g
+
+    @pytest.mark.parametrize("weight", [Fraction(1, 10 ** 4300), Fraction(-10 ** 4300 - 1, 3)])
+    def test_longer_number_is_refused(self, weight):
+        # refused by the bound `parse_graph` reads with, also where the
+        # interpreter's own int-string limit is lifted, as `cli.main` does
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(ValueError, match="more than 4300 digits"):
+                serialize_graph(one_arc(weight))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

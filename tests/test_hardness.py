@@ -44,6 +44,10 @@ class TestDigraph:
         with pytest.raises(ValueError, match="undeclared"):
             digraph(2, {(1, 3)})
 
+    def test_start_and_target_must_be_declared(self):
+        with pytest.raises(ValueError, match="vertex 3 not declared"):
+            Digraph(frozenset({1, 2}), frozenset(), 1, 3)
+
     def test_adjacency(self):
         d = digraph(4, {(1, 3), (1, 2), (3, 4), (1, 4)})
         assert [d.successors(v) for v in (1, 2, 3, 4)] == [(2, 3, 4), (), (4,), ()]
