@@ -12,7 +12,7 @@ import argparse
 
 from empower.generators import random_digraph
 from empower.graph import serialize_graph
-from empower.hardness import build_reduction, dfs_counts, reduction_counts
+from empower.hardness import build_reduction, decode_counts, dfs_counts
 from empower.solver import solve_general
 
 
@@ -37,8 +37,9 @@ def main():
     # prefix entered on a cyclic one
     print(f"Em(target arc) = {empower} ({result.stats.path_count} emergy paths, "
           f"{result.stats.tree_nodes} search frames)")
-    print(f"rescaled expansion = {empower / exit_weight}")
-    decoded = reduction_counts(d)
+    rescaled = empower / exit_weight
+    print(f"rescaled expansion = {rescaled}")
+    decoded = decode_counts(rescaled, inst.bound, len(d.vertices) + 1)
     direct = dfs_counts(d)
     print(f"decoded digits : {dict(decoded.counts)}")
     print(f"direct digits  : {dict(direct.counts)}")

@@ -11,6 +11,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 from .graph import EmergyGraph, ParseError, parse_graph, serialize_graph, validate_graph
 from .solver import ArcSearch, SolveResult, brute_force_solve
@@ -66,47 +67,45 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _fail(message: str, code: int) -> int:
+def _fail(message: str, code: int) -> NoReturn:
+    """Refuse the command: print its one error line; `main` returns `code`."""
     print(f"error: {message}", file=sys.stderr)
-    return code
+    raise SystemExit(code)
 
 
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _fail(f"cannot read {path}: {exc}", 2)
 
 
-def _load(args) -> EmergyGraph | int:
-    """The graph in `args.file` if it parses, validates and has `args.arc`; else an exit code."""
+def _load(args) -> EmergyGraph:
+    """The graph in `args.file` if it parses, validates and has `args.arc`; else a refusal."""
     try:
         g = parse_graph(_read(args.file))
     except ParseError as exc:
-        return _fail(f"{args.file}: {exc}", 2)
+        _fail(f"{args.file}: {exc}", 2)
     report = validate_graph(g)
     for v in report:
         print(f"violation[{v.code}] {v.message}")
     if report:
-        return 1
+        raise SystemExit(1)
     arc = getattr(args, "arc", None)
     if arc is not None and arc not in g.arcs:
-        return _fail(f"{arc[0]},{arc[1]} is not an arc of the instance", 2)
+        _fail(f"{arc[0]},{arc[1]} is not an arc of the instance", 2)
     return g
 
 
 def cmd_validate(args) -> int:
-    g = _load(args)
-    return g if isinstance(g, int) else 0
+    _load(args)
+    return 0
 
 
 def cmd_paths(args) -> int:
     from .paths import enumerate_emergy_paths
 
     g = _load(args)
-    if isinstance(g, int):
-        return g
     for p in enumerate_emergy_paths(g, args.arc):
         if args.format == "records":
             print(f"path nodes={p} source={p.source} arcs={p.arc_count} value={p.value}")
@@ -116,37 +115,34 @@ def cmd_paths(args) -> int:
 
 
 def _solve(g: EmergyGraph, arc: tuple[int, int], method: str,
-           want_state: bool) -> SolveResult | int:
+           want_state: bool) -> tuple[str, SolveResult]:
+    """The method that runs, with `auto` resolved, and its result."""
     if method == "brute":
         try:
-            return brute_force_solve(g, arc)
+            return method, brute_force_solve(g, arc)
         except ValueError as exc:
-            return _fail(str(exc), 3)
+            _fail(str(exc), 3)
     search = ArcSearch(g, arc)
     if method == "auto":
         method = "dag" if search.acyclic and not want_state else "cotree"
     if method == "dag":
         if want_state:
-            return _fail("the dag method computes the value only; drop --state", 2)
+            _fail("the dag method computes the value only; drop --state", 2)
         if not search.acyclic:
-            return _fail("the dag method needs an acyclic instance; use cotree", 3)
-    return search.solve(method)
+            _fail("the dag method needs an acyclic instance; use cotree", 3)
+    return method, search.solve()
 
 
 def cmd_solve(args) -> int:
     g = _load(args)
-    if isinstance(g, int):
-        return g
     started = time.perf_counter()
-    result = _solve(g, args.arc, args.method, args.state)
+    method, result = _solve(g, args.arc, args.method, args.state)
     elapsed = time.perf_counter() - started
-    if isinstance(result, int):
-        return result
     # timing goes to stderr so stdout stays byte-stable for a given input
     print(f"solved in {elapsed * 1000:.1f} ms", file=sys.stderr)
     dec = decimal_string(result.value, args.places)
     if args.format == "records":
-        print(f"solution arc={args.arc[0]},{args.arc[1]} method={result.method} "
+        print(f"solution arc={args.arc[0]},{args.arc[1]} method={method} "
               f"em={result.value} decimal={dec} paths={result.stats.path_count} "
               f"witness={result.stats.witness_count}")
     else:
@@ -176,12 +172,10 @@ def cmd_check_cograph(args) -> int:
     from .compat import build_compatibility_graph, find_induced_p4
 
     g = _load(args)
-    if isinstance(g, int):
-        return g
     # count the paths without listing them, so the cap comes before the O(n^2) work
     n = ArcSearch(g, args.arc).solve().stats.path_count
     if n > args.cap:
-        return _fail(f"{n} vertices exceed the induced-path check cap {args.cap}", 3)
+        _fail(f"{n} vertices exceed the induced-path check cap {args.cap}", 3)
     cg = build_compatibility_graph(g, args.arc)
     witness = find_induced_p4(cg, cap=args.cap)
     print(f"{len(cg.vertices)} vertices, {len(cg.edges)} edges")
@@ -199,13 +193,13 @@ def cmd_count_paths(args) -> int:
     try:
         d = parse_digraph(_read(args.file))
     except ValueError as exc:
-        return _fail(f"{args.file}: {exc}", 2)
+        _fail(f"{args.file}: {exc}", 2)
     methods = ["reduction", "dfs"] if args.method == "both" else [args.method]
     counts = {m: count_simple_paths(d, m) for m in methods}
     for m in methods:
         print(f"{m}: {counts[m]}")
     if len(set(counts.values())) > 1:
-        return _fail("reduction and dfs disagree", 1)
+        _fail("reduction and dfs disagree", 1)
     return 0
 
 
@@ -238,7 +232,7 @@ def cmd_gen(args) -> int:
             text = serialize_digraph(d)
         else:
             if args.digraph is None:
-                return _fail("the reduction family needs --digraph FILE", 2)
+                _fail("the reduction family needs --digraph FILE", 2)
             from .hardness import build_reduction, parse_digraph
 
             d = parse_digraph(_read(args.digraph))
@@ -247,7 +241,7 @@ def cmd_gen(args) -> int:
                       f"target arc: {inst.target_arc[0]},{inst.target_arc[1]}"]
             text = serialize_graph(inst.graph)
     except ValueError as exc:
-        return _fail(str(exc), 2)
+        _fail(str(exc), 2)
     for line in header:
         print(f"# {line}")
     sys.stdout.write(text)
@@ -320,6 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
+    except SystemExit as refusal:  # a command's refusal, already printed
+        return refusal.code
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -27,4 +27,4 @@ def solve_dag(g: EmergyGraph, arc: tuple[int, int]) -> Fraction:
     search = ArcSearch(g, arc)
     if not search.acyclic:
         raise GraphCycleError(search.cycle)
-    return search.solve("dag").value
+    return search.solve().value

@@ -103,6 +103,8 @@ def parse_digraph(text: str) -> Digraph:
     arcs: set[tuple[int, int]] = set()
     start: int | None = None
     target: int | None = None
+    # the line and column where an edge, start or target line first names each vertex
+    sites: dict[int, tuple[int, int]] = {}
     for lineno, tokens in tokenize(text):
         word, col = tokens[0]
         arity = {"vertex": 1, "edge": 2, "start": 1, "target": 1}.get(word)
@@ -115,7 +117,10 @@ def parse_digraph(text: str) -> Digraph:
             if ids[0] in vertices:
                 raise ParseError(f"duplicate vertex {ids[0]}", lineno, col)
             vertices.add(ids[0])
-        elif word == "edge":
+            continue
+        for v, (_, tcol) in zip(ids, tokens[1:]):
+            sites.setdefault(v, (lineno, tcol))
+        if word == "edge":
             pair = (ids[0], ids[1])
             if pair[0] == pair[1]:
                 raise ParseError(f"self-loop edge ({pair[0]}, {pair[1]})", lineno, col)
@@ -132,9 +137,9 @@ def parse_digraph(text: str) -> Digraph:
             target = ids[0]
     if start is None or target is None:
         raise ParseError("missing start or target line", 1)
-    undeclared = ({start, target} | {v for a in arcs for v in a}) - vertices
-    if undeclared:
-        raise ParseError(f"undeclared vertex {min(undeclared)}", 1)
+    undeclared = min(sites.keys() - vertices, default=None)
+    if undeclared is not None:
+        raise ParseError(f"undeclared vertex {undeclared}", *sites[undeclared])
     return Digraph(frozenset(vertices), frozenset(arcs), start, target)
 
 

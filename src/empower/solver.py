@@ -62,15 +62,14 @@ class SolveResult:
     one at a time.
     """
 
-    def __init__(self, value: Fraction, method: str, stats: SolveStats,
+    def __init__(self, value: Fraction, stats: SolveStats,
                  witness_paths: Callable[[], Iterator[EmergyPath]]):
         self.value = value
-        self.method = method
         self.stats = stats
         self.witness_paths = witness_paths
 
     def __repr__(self) -> str:
-        return f"SolveResult(value={self.value!r}, method={self.method!r}, stats={self.stats!r})"
+        return f"SolveResult(value={self.value!r}, stats={self.stats!r})"
 
     @cached_property
     def witness(self) -> EmergyState:
@@ -242,7 +241,7 @@ class ArcSearch:
                 frames.pop()
                 path.pop()
 
-    def solve(self, method: str = "cotree") -> SolveResult:
+    def solve(self) -> SolveResult:
         """Solve from every source, ascending; the witness stays unexpanded
         until asked for."""
         value, paths, witness = Fraction(0), 0, 0
@@ -260,7 +259,7 @@ class ArcSearch:
             for s, entry in roots:
                 yield from self.expand(s, entry)
 
-        return SolveResult(value, method, stats, expand)
+        return SolveResult(value, stats, expand)
 
 
 def solve_general(g: EmergyGraph, arc: tuple[int, int]) -> SolveResult:
@@ -319,4 +318,4 @@ def brute_force_solve(g: EmergyGraph, arc: tuple[int, int], cap: int = 20) -> So
     grow((), Fraction(0), (1 << n) - 1)
     chosen = tuple(sorted(paths[i] for i in best_members))
     stats = SolveStats(n, len(chosen), 0)
-    return SolveResult(best_value, "brute", stats, lambda: iter(chosen))
+    return SolveResult(best_value, stats, lambda: iter(chosen))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import os
 import subprocess
 import sys
@@ -43,14 +42,12 @@ def non_utf8_file(tmp_path):
     return str(f)
 
 
-def assert_unreadable(argv, path, capsys):
-    with pytest.raises(SystemExit) as caught:
-        main(argv)
-    assert caught.value.code == 2
+def assert_unreadable(argv, path, capsys, reason="'utf-8' codec"):
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+    assert captured.err.startswith(f"error: cannot read {path}: {reason}")
 
 
 @pytest.fixture
@@ -96,9 +93,9 @@ class TestValidateCommand:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
-    def test_missing_file_exits_two(self):
-        with pytest.raises(SystemExit):
-            main(["validate", "/nonexistent/file.eg"])
+    def test_missing_file_exits_two(self, capsys):
+        path = "/nonexistent/file.eg"
+        assert_unreadable(["validate", path], path, capsys, reason="[Errno 2] No such file")
 
     def test_non_utf8_file_exits_two(self, non_utf8_file, capsys):
         assert_unreadable(["validate", non_utf8_file], non_utf8_file, capsys)
@@ -156,6 +153,12 @@ class TestSolveCommand:
         assert out[0] == ("solution arc=4,7 method=cotree em=315 decimal=315.00 "
                           "paths=6 witness=5")
         assert sum(1 for line in out if line.startswith("state-path ")) == 5
+
+    def test_records_name_the_method_that_ran(self, capsys):
+        assert main(["solve", TEXTBOOK, "--arc", "4,7", "--method", "brute",
+                     "--format", "records"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "solution arc=4,7 method=brute em=315 decimal=315.00 paths=6 witness=5")
 
     def test_methods_agree(self, capsys):
         for method in ("auto", "cotree", "brute"):
@@ -340,6 +343,17 @@ class TestCountPathsCommand:
         f.write_text("vertex 1\nstart 1\ntarget 1\n")
         assert main(["count-paths", str(f)]) == 2
 
+    @pytest.mark.parametrize("text, site", [
+        ("vertex 1\nvertex 2\nvertex 3\nedge 1 2\nedge 2 9\nstart 1\ntarget 3\n",
+         "line 5, column 8: undeclared vertex 9"),
+        ("vertex 1\nstart 1\ntarget 2\n", "line 3, column 8: undeclared vertex 2"),
+    ], ids=["edge", "target"])
+    def test_undeclared_vertex_names_its_line(self, tmp_path, capsys, text, site):
+        f = tmp_path / "undeclared.dg"
+        f.write_text(text)
+        assert main(["count-paths", str(f)]) == 2
+        assert capsys.readouterr().err == f"error: {f}: {site}\n"
+
     @pytest.mark.parametrize("line, message", [
         ("edge 1", "edge line needs 2 vertex id(s)"),
         ("edge 2 2", "self-loop edge (2, 2)"),
@@ -416,8 +430,7 @@ class TestLongExactValues:
         before = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(5000)
         try:
-            with contextlib.suppress(SystemExit):
-                main(argv)
+            main(argv)
             assert sys.get_int_max_str_digits() == 5000
         finally:
             sys.set_int_max_str_digits(before)
@@ -499,15 +512,42 @@ sys.exit(code)
 """
 
 
-def modules_loaded_by(argv: list[str]) -> set[str]:
-    """The modules `main(argv)` loads in a fresh interpreter; it must exit 0."""
+def run_fresh(args: list[str]) -> subprocess.CompletedProcess:
+    """`python ARGS` in a fresh interpreter that imports this `empower`;
+    it must exit 0."""
     src = str(Path(empower.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
+    proc = subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def modules_loaded_by(argv: list[str]) -> set[str]:
+    """The modules `main(argv)` loads in a fresh interpreter; it must exit 0."""
+    proc = run_fresh(["-c", IMPORT_PROBE, *argv])
     return set(proc.stdout.splitlines()[-1].split())
+
+
+# the commands `scripts/bench.py cli-startup` times; DIGRAPH stands for a digraph file
+MODULE_COMMANDS = {
+    "solve": ["solve", TEXTBOOK, "--arc", "7,8"],
+    "solve-4,7-state": ["solve", TEXTBOOK, "--arc", "4,7", "--state"],
+    "validate": ["validate", TEXTBOOK],
+    "paths": ["paths", TEXTBOOK, "--arc", "4,7"],
+    "check-cograph": ["check-cograph", TEXTBOOK, "--arc", "4,7"],
+    "count-paths": ["count-paths", "DIGRAPH"],
+    "gen": ["gen", "--family", "random-dag", "--nodes", "12", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", MODULE_COMMANDS.values(), ids=MODULE_COMMANDS)
+def test_python_m_runs_every_command(argv, digraph_file, capsys):
+    argv = [digraph_file if a == "DIGRAPH" else a for a in argv]
+    proc = run_fresh(["-m", "empower.cli", *argv])
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 class TestStartupImports:

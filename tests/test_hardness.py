@@ -31,6 +31,10 @@ def digraph(n: int, arcs: set[tuple[int, int]], start=1, target=None) -> Digraph
     return Digraph(frozenset(range(1, n + 1)), frozenset(arcs), start, target or n)
 
 
+def line(n: int) -> Digraph:
+    return digraph(n, {(i, i + 1) for i in range(1, n)})
+
+
 SINGLE_ARC = digraph(2, {(1, 2)})
 TRIANGLE = digraph(3, {(1, 2), (2, 3), (1, 3)})
 
@@ -206,13 +210,19 @@ class TestCounting:
             assert p[0] == 1 and p[-1] == 4
 
     def test_long_line_needs_no_recursion(self):
-        line = digraph(1200, {(i, i + 1) for i in range(1, 1200)})
-        assert list(enumerate_simple_paths(line)) == [tuple(range(1, 1201))]
-        assert count_simple_paths(line, "dfs") == 1
-        # the reduction's denominators grow like the bound (about n!), so it
-        # is checked on a shorter line
-        line = digraph(120, {(i, i + 1) for i in range(1, 120)})
-        assert count_simple_paths(line, "reduction") == count_simple_paths(line, "dfs") == 1
+        assert list(enumerate_simple_paths(line(1200))) == [tuple(range(1, 1201))]
+        assert count_simple_paths(line(1200), "dfs") == 1
+
+    # the reduction's numbers grow like B^n with the bound B about n!, so its
+    # lines are shorter than the DFS's; B^399 has about 350,000 digits
+    @pytest.mark.parametrize("d", [
+        pytest.param(line(100), id="line-100"),
+        pytest.param(line(200), id="line-200"),
+        pytest.param(line(400), id="line-400"),
+        pytest.param(random_digraph(12, 0.6, 1), id="random-digraph-12"),  # 96,625 paths
+    ])
+    def test_reduction_decodes_long_instances(self, d):
+        assert reduction_counts(d) == dfs_counts(d)
 
     def test_dfs_count_lists_no_paths(self):
         # 13,700 simple paths from 1 to 9 in the complete digraph on 9 vertices;

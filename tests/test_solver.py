@@ -143,7 +143,6 @@ class TestSolveGeneral:
     def test_textbook_optimum(self, textbook):
         result = solve_general(textbook, (4, 7))
         assert result.value == 315
-        assert result.method == "cotree"
         assert result.stats.path_count == 6
         assert [p.nodes for p in result.witness.paths] == [
             (1, 2, 3, 7, 8, 6, 4, 7), (1, 2, 3, 7, 8, 9, 4, 7), (1, 2, 4, 7),
