@@ -5,10 +5,11 @@
     python scripts/bench.py SUITE --src before=/tmp/before/src --src after=src [--repeats N]
 
 Each `--src [NAME=]DIR` is a directory holding the `empower` package. Every
-measurement runs in a fresh interpreter with PYTHONDONTWRITEBYTECODE=1, the
-sides interleaved in an order that rotates from repeat to repeat. Medians and
-quartiles in ms go to stdout and, with the Python version, platform and CPU
-count, to BENCH_<suite>.json at the repository root. The suites:
+measurement runs in a fresh interpreter, with PYTHONDONTWRITEBYTECODE=1 unless
+said otherwise, the sides interleaved in an order that rotates from repeat to
+repeat. Medians and quartiles go to stdout and, with the Python version,
+platform and CPU count, to BENCH_<suite>.json at the repository root. The
+suites:
 
 - `cli-startup` (15 repeats): the CPU time (user plus system, from the
   rusage of the finished child, steadier on a shared host than wall time) of
@@ -23,6 +24,16 @@ count, to BENCH_<suite>.json at the repository root. The suites:
   of 100, 200 and 400 vertices, where the reduction's numbers are longest,
   and `random_digraph(12, 0.6, 1)`, with 96,625 simple paths. Every run must
   decode the count the DFS finds, and the sides must count alike.
+- one suite per workload of BENCHMARK.json (`cli-queries`,
+  `acyclic-explosion`, `cyclic-core`; 10 repeats): each side's package is
+  copied into a temporary tree next to this checkout's `perfbench/`, and
+  repeat r runs `perfbench/run.py --workload W --seed r --seconds S` there,
+  S being the benchmark's `run_seconds`, with bytecode written as in a
+  checkout. Every end-to-end metric is
+  summarized per side, each run's `correct`, `attempted`, `failed` and
+  instance parameters are kept, and every side after the first counts the
+  seeds on which it was better and worse than the first on each metric.
+  Every run must exit 0 and answer correctly.
 """
 
 from __future__ import annotations
@@ -37,9 +48,11 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 DIGRAPH = "vertex 1\nvertex 2\nvertex 3\nvertex 4\n" \
           "edge 1 2\nedge 2 3\nedge 1 3\nedge 3 4\nedge 2 4\nstart 1\ntarget 4\n"
@@ -85,15 +98,16 @@ def rotated(items: list, r: int) -> list:
 
 
 def summary(samples: list[float]) -> dict:
+    """Median and quartiles to four significant digits."""
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+    return {"median": float(f"{median:.4g}"), "q1": float(f"{q1:.4g}"), "q3": float(f"{q3:.4g}")}
 
 
 def table(corner: str, columns: list[str], rows: dict[str, list[float]]) -> None:
     width = max(map(len, [corner, *rows])) + 2
     print(f"{corner:<{width}}" + "".join(f"{c:>22}" for c in columns))
     for label, values in rows.items():
-        print(f"{label:<{width}}" + "".join(f"{v:>22.2f}" for v in values))
+        print(f"{label:<{width}}" + "".join(f"{v:>22.4g}" for v in values))
 
 
 def cli_startup(sides: dict[str, Path], repeats: int) -> dict:
@@ -224,8 +238,69 @@ def count_paths(sides: dict[str, Path], repeats: int) -> dict:
     }
 
 
+def perfbench(workload: str, sides: dict[str, Path], repeats: int) -> dict:
+    seconds = BENCHMARK["run_seconds"]
+    metrics = BENCHMARK["end_to_end"]
+    runs = {name: [] for name in sides}
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {}
+        for i, (name, src) in enumerate(sides.items()):
+            trees[name] = tree = Path(tmp) / str(i)
+            shutil.copytree(src / "empower", tree / "src" / "empower",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            shutil.copytree(ROOT / "perfbench", tree / "perfbench",
+                            ignore=shutil.ignore_patterns("__pycache__", ".work"))
+        for r in range(repeats):
+            seed = r + 1
+            for name in rotated(list(sides), r):
+                stdout = run([sys.executable, str(trees[name] / "perfbench" / "run.py"),
+                              "--workload", workload, "--seed", str(seed),
+                              "--seconds", str(seconds)],
+                             trees[name] / "src", write_bytecode=True)[1]
+                record, out = map(json.loads, stdout.splitlines()[-2:])
+                if not out["correct"]:
+                    raise SystemExit(f"{workload} seed {seed} under {sides[name]}: "
+                                     "perfbench found a wrong answer")
+                runs[name].append({"seed": seed, "correct": out["correct"],
+                                   "attempted": out["attempted"], "failed": out["failed"],
+                                   **{m["name"]: out["metrics"][m["name"]]["value"]
+                                      for m in metrics},
+                                   "params": record["record"]["params"]})
+                print(f"{workload} seed {seed} {name}: " + ", ".join(
+                    f"{m['name']} {runs[name][-1][m['name']]:.4g}" for m in metrics), flush=True)
+
+    first = next(iter(sides))
+    results = {}
+    for name in sides:
+        results[name] = {m["name"]: summary([one[m["name"]] for one in runs[name]])
+                         for m in metrics}
+        if name != first:
+            pairs = {}
+            for m in metrics:
+                sign = 1 if m["better"] == "higher" else -1
+                gaps = [sign * (mine[m["name"]] - theirs[m["name"]])
+                        for mine, theirs in zip(runs[name], runs[first])]
+                pairs[m["name"]] = {"won": sum(g > 0 for g in gaps),
+                                    "lost": sum(g < 0 for g in gaps)}
+            results[name]["pairs_against_" + first] = pairs
+        results[name]["runs"] = runs[name]
+    table("metric", list(sides), {m["name"]: [results[name][m["name"]]["median"] for name in sides]
+                                  for m in metrics})
+    return {
+        "metric": "end-to-end metrics of perfbench/run.py, one run per seed and side: "
+                  "median and quartiles over the seeds",
+        "workload": workload,
+        "seconds": seconds,
+        "repeats": repeats,
+        "seeds": list(range(1, repeats + 1)),
+        "metrics": {m["name"]: {"unit": m["unit"], "better": m["better"]} for m in metrics},
+        "results": results,
+    }
+
+
 # suite -> (function, default repeats)
-SUITES = {"cli-startup": (cli_startup, 15), "count-paths": (count_paths, 5)}
+SUITES = {"cli-startup": (cli_startup, 15), "count-paths": (count_paths, 5),
+          **{w["name"]: (partial(perfbench, w["name"]), 10) for w in BENCHMARK["workloads"]}}
 
 
 def main() -> None:
@@ -233,7 +308,8 @@ def main() -> None:
     parser.add_argument("suite", choices=SUITES)
     parser.add_argument("--src", action="append", metavar="[NAME=]DIR",
                         help="a directory holding the empower package; repeat to compare")
-    parser.add_argument("--repeats", type=int, help="15 for cli-startup, 5 for count-paths")
+    parser.add_argument("--repeats", type=int,
+                        help="15 for cli-startup, 5 for count-paths, 10 for a perfbench workload")
     parser.add_argument("--child", choices=INSTANCES, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:

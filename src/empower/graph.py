@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 
@@ -38,8 +39,9 @@ class EmergyGraph:
     `kind` maps node id to its kind, `source_emergy` holds the emergy of each
     source node, `arcs` maps (tail, head) to the arc weight. Successor and
     predecessor lists are derived and sorted ascending by id, which makes
-    every traversal in this package deterministic. Two graphs are equal when
-    their kinds, emergies and arcs are; a graph is not hashable.
+    every traversal in this package deterministic. `sources` lists the source
+    ids ascending. Two graphs are equal when their kinds, emergies and arcs
+    are; a graph is not hashable.
 
     The constructor rejects structural nonsense (self-loops, arcs touching
     undeclared nodes, emergy entries on non-sources); the semantic rules
@@ -69,6 +71,7 @@ class EmergyGraph:
         self.succ = {i: tuple(sorted(v)) for i, v in succ.items()}
         self.pred = {i: tuple(sorted(v)) for i, v in pred.items()}
         self.nodes = tuple(sorted(kind))
+        self.sources = tuple(i for i in self.nodes if kind[i] is NodeKind.SOURCE)
 
     def __eq__(self, other):
         if other.__class__ is not EmergyGraph:
@@ -80,15 +83,54 @@ class EmergyGraph:
         return (f"EmergyGraph(kind={self.kind!r}, source_emergy={self.source_emergy!r}, "
                 f"arcs={self.arcs!r})")
 
-    @property
-    def sources(self) -> tuple[int, ...]:
-        return tuple(i for i in self.nodes if self.kind[i] is NodeKind.SOURCE)
+    @cached_property
+    def search_table(self) -> SearchTable:
+        """The graph in index form, derived on first use and kept."""
+        return SearchTable(self)
 
     def successors(self, i: int) -> tuple[int, ...]:
         return self.succ[i]
 
     def predecessors(self, i: int) -> tuple[int, ...]:
         return self.pred[i]
+
+
+class SearchTable:
+    """What the path search needs of a graph, in index form: the facts that
+    depend on the graph alone, so every arc query on it shares them.
+
+    Node `i` is the `i`-th id of `ids` (ascending) and `index` maps back.
+    `kinds[i]` is its kind, `succ[i]` its successors ascending as
+    (index, arc weight numerator, arc weight denominator) and `pred[i]` its
+    predecessor indices. `acyclic` tells whether the graph has no directed
+    cycle, and `cycle` is the closed cycle `topological_order` found if not.
+    """
+
+    def __init__(self, g: EmergyGraph):
+        self.ids = ids = g.nodes
+        self.index = index = {v: i for i, v in enumerate(ids)}
+        self.kinds = [g.kind[v] for v in ids]
+        arcs = g.arcs
+        self.succ = [[(index[w], arcs[v, w].numerator, arcs[v, w].denominator)
+                      for w in g.succ[v]] for v in ids]
+        self.pred = [[index[u] for u in g.pred[v]] for v in ids]
+        topo = topological_order(g)
+        self.acyclic = topo.order is not None
+        self.cycle = topo.cycle
+
+    def reaching(self, tail: int) -> list[bool]:
+        """For each node index, whether it has a directed path to index
+        `tail`; the tail itself does."""
+        pred = self.pred
+        seen = [False] * len(pred)
+        seen[tail] = True
+        frontier = [tail]
+        while frontier:
+            for p in pred[frontier.pop()]:
+                if not seen[p]:
+                    seen[p] = True
+                    frontier.append(p)
+        return seen
 
 
 class Violation(NamedTuple):
@@ -109,15 +151,8 @@ def require_arc(g: EmergyGraph, arc: tuple[int, int]) -> tuple[int, int]:
 def reachability_to_target(g: EmergyGraph, arc: tuple[int, int]) -> frozenset[int]:
     """Nodes with a directed path to the arc tail, the tail included."""
     tail, _ = require_arc(g, arc)
-    seen = {tail}
-    frontier = [tail]
-    while frontier:
-        node = frontier.pop()
-        for p in g.predecessors(node):
-            if p not in seen:
-                seen.add(p)
-                frontier.append(p)
-    return frozenset(seen)
+    table = g.search_table
+    return frozenset(v for v, live in zip(table.ids, table.reaching(table.index[tail])) if live)
 
 
 # ASCII digits only: `\d` and `str.isdigit` also accept characters such as

@@ -135,6 +135,8 @@ def parse_digraph(text: str) -> Digraph:
             if target is not None:
                 raise ParseError("duplicate target line", lineno, col)
             target = ids[0]
+        if start is not None and start == target:
+            raise ParseError("start and target must differ", lineno, tokens[1][1])
     if start is None or target is None:
         raise ParseError("missing start or target line", 1)
     undeclared = min(sites.keys() - vertices, default=None)

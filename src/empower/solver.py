@@ -28,13 +28,7 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Iterator, NamedTuple
 
-from .graph import (
-    EmergyGraph,
-    NodeKind,
-    reachability_to_target,
-    require_arc,
-    topological_order,
-)
+from .graph import EmergyGraph, NodeKind, require_arc
 from .paths import EmergyPath
 
 
@@ -91,37 +85,35 @@ _DEAD = (0, 1, 0, 0)
 class ArcSearch:
     """The solver for one query arc.
 
-    Construction costs two passes over the graph: a topological order, which
-    tells whether the graph is acyclic, and the nodes that can reach the arc
-    tail. The search runs on demand, once per start node. On an acyclic
-    graph all start nodes share one memo; on a cyclic graph every start
-    node gets a fresh search. Assumes a valid graph: positive weights,
-    sources without predecessors.
+    What depends on the graph alone is derived once per graph and kept on
+    it (`EmergyGraph.search_table`): the index form of the nodes, their
+    kinds, the successor options with unpacked weights, the predecessors and
+    whether the graph is acyclic. Construction does only what depends on
+    the arc: it marks the nodes that can reach the arc tail and keeps, for
+    each, the options into them. The search runs on demand, once per start
+    node. On an acyclic graph all start nodes share one memo; on a cyclic
+    graph every start node gets a fresh search. Assumes a valid graph:
+    positive weights, sources without predecessors.
     """
 
     def __init__(self, g: EmergyGraph, arc: tuple[int, int]):
         self.g = g
         self.tail, self.head = require_arc(g, arc)
-        topo = topological_order(g)
-        self.acyclic = topo.order is not None
-        self.cycle = topo.cycle
-        self.ids = g.nodes
-        self.index = index = {v: i for i, v in enumerate(self.ids)}
+        table = g.search_table
+        self.acyclic, self.cycle = table.acyclic, table.cycle
+        self.ids, self.index, self.kinds = table.ids, table.index, table.kinds
+        tail = self.index[self.tail]
         # the search enters only nodes that reach the tail, and stops there
-        live = reachability_to_target(g, (self.tail, self.head))
-        arcs = g.arcs
+        live = table.reaching(tail)
         self.options = [
-            [(index[w], arcs[v, w].numerator, arcs[v, w].denominator)
-             for w in g.succ[v] if w in live]
-            if v in live and v != self.tail else []
-            for v in self.ids]
-        self.kinds = [g.kind[v] for v in self.ids]
+            [option for option in succ if live[option[0]]] if live[v] and v != tail else []
+            for v, succ in enumerate(table.succ)]
         # the entries that do not depend on the path that led to their node:
         # every node's on an acyclic graph, only the arc tail's on a cyclic one
         self.memo: list[tuple | None] = [None] * len(self.ids)
-        last = arcs[self.tail, self.head]
+        last = g.arcs[self.tail, self.head]
         self.leaf = (last.numerator, last.denominator, 1, 1)
-        self.memo[index[self.tail]] = self.leaf
+        self.memo[tail] = self.leaf
         # the nodes on the path the search is on, which the path may not
         # enter again; all false between searches, and on an acyclic graph
         # no successor is ever on it
@@ -130,61 +122,64 @@ class ArcSearch:
 
     def entry(self, node: int) -> tuple:
         """The search's entry for `node` as the first node of the paths:
-        the memo entry on an acyclic graph, a fresh search on a cyclic one."""
+        the memo entry on an acyclic graph, a fresh search on a cyclic one.
+
+        A node with no live branch is dead and one with a single branch
+        passes it through, with the arc weight multiplied in; only a node
+        with several branches goes to `_combine`.
+        """
         root = self.index[node]
         memo = self.memo
         found = memo[root]
         if found is not None:
             return found
         options, acyclic, on_path = self.options, self.acyclic, self.on_path
+        combine = self._combine
         on_path[root] = True
-        # a frame is [node, next option, kept branches flat, the option leading to it]
-        frames = [[root, 0, [], None]]
-        self.frame_count += 1
+        # a frame is (node, its options not yet tried, kept branches flat,
+        # the option leading to it)
+        frames = [(root, iter(options[root]), [], None)]
+        count = 1
         while True:
-            frame = frames[-1]
-            v, pos, kept, _ = frame
-            opts = options[v]
-            while pos < len(opts):
-                option = opts[pos]
-                pos += 1
+            v, untried, kept, via = frames[-1]
+            for option in untried:
                 w = option[0]
                 if on_path[w]:
                     continue
                 sub = memo[w]
                 if sub is None:
-                    frame[1] = pos
                     on_path[w] = True
-                    frames.append([w, 0, [], option])
-                    self.frame_count += 1
+                    frames.append((w, iter(options[w]), [], option))
+                    count += 1
                     break
                 if sub[2]:
                     kept += option, sub
             else:
                 frames.pop()
                 on_path[v] = False
-                result = self._entry_of(v, kept)
+                if not kept:
+                    result = _DEAD
+                elif len(kept) == 2:
+                    (_, w_num, w_den), sub = kept
+                    result = (w_num * sub[0], w_den * sub[1], sub[2], sub[3], *kept)
+                else:
+                    result = combine(v, kept)
                 if acyclic:
                     memo[v] = result
                 if not frames:
+                    self.frame_count += count
                     return result
                 if result[2]:
-                    frames[-1][2] += frame[3], result
+                    frames[-1][2].extend((via, result))
 
-    def _entry_of(self, v: int, kept: list) -> tuple:
-        """The entry of node index `v` from its live branches, ascending by id
-        and flat (option, entry, option, entry, ...).
+    def _combine(self, v: int, kept: list) -> tuple:
+        """The entry of node index `v` from two or more live branches,
+        ascending by id and flat (option, entry, option, entry, ...).
 
-        One branch passes through; a split adds its branches (their paths
-        coexist) and reduces the sum; a co-product keeps the first strictly
-        best branch, so ties go to the smallest successor id. Branching
-        anywhere else is a structural error.
+        A split adds its branches (their paths coexist) and reduces the sum;
+        a co-product keeps the first strictly best branch, so ties go to the
+        smallest successor id. Branching anywhere else is a structural error.
         """
-        if not kept:
-            return _DEAD
-        if len(kept) == 2:
-            (_, w_num, w_den), sub = kept
-            return w_num * sub[0], w_den * sub[1], sub[2], sub[3], *kept
         kind, paths, branches = self.kinds[v], 0, iter(kept)
         if kind is NodeKind.SPLIT:
             num, den, witness = 0, 1, 0
@@ -206,16 +201,20 @@ class ArcSearch:
         raise ValueError(f"search branches at {kind.value} node {self.ids[v]}")
 
     def expand(self, node: int, root: tuple) -> Iterator[EmergyPath]:
-        """The kept paths of `root`, the entry of `node`, in lexicographic order.
+        """The kept paths of `root`, the entry of source `node`, in
+        lexicographic order.
 
         The current path lives on one list and becomes a tuple only at a
         leaf; path values are carried as an integer numerator and
-        denominator and become one `Fraction` per path. A frame is [entry,
-        index of its next branch, numerator, denominator]: indexing the flat
-        entry allocates nothing per branch, where pairing it up would.
+        denominator and become one `Fraction` per distinct unreduced value
+        in a row: a path whose product equals the previous path's shares
+        its `Fraction` (every path of a diamond chain does). A frame is
+        [entry, index of its next branch, numerator, denominator]: indexing
+        the flat entry allocates nothing per branch, where pairing it up
+        would.
         """
         ids, leaf, head = self.ids, self.leaf, self.head
-        scale = self.g.source_emergy.get(node, Fraction(1))
+        scale = self.g.source_emergy[node]
         last_num, last_den = leaf[0], leaf[1]
         if root is leaf:
             yield EmergyPath((node, head), Fraction(scale.numerator * last_num,
@@ -223,6 +222,7 @@ class ArcSearch:
             return
         path = [node]
         frames = [[root, 4, scale.numerator, scale.denominator]]
+        seen_num = seen_den = value = None
         while frames:
             frame = frames[-1]
             entry, i, num, den = frame
@@ -230,7 +230,9 @@ class ArcSearch:
                 (w, w_num, w_den), sub = entry[i], entry[i + 1]
                 i += 2
                 if sub is leaf:
-                    value = Fraction(num * w_num * last_num, den * w_den * last_den)
+                    n, d = num * w_num * last_num, den * w_den * last_den
+                    if n != seen_num or d != seen_den:
+                        seen_num, seen_den, value = n, d, Fraction(n, d)
                     yield EmergyPath((*path, ids[w], head), value)
                 else:
                     frame[1] = i

@@ -354,6 +354,16 @@ class TestCountPathsCommand:
         assert main(["count-paths", str(f)]) == 2
         assert capsys.readouterr().err == f"error: {f}: {site}\n"
 
+    @pytest.mark.parametrize("text, site", [
+        ("vertex 1\nstart 1\ntarget 1\n", "line 3, column 8"),
+        ("vertex 1\ntarget 1\nvertex 2\nstart 1\n", "line 4, column 7"),
+    ], ids=["target-last", "start-last"])
+    def test_start_equal_to_target_names_the_second_line(self, tmp_path, capsys, text, site):
+        f = tmp_path / "loop.dg"
+        f.write_text(text)
+        assert main(["count-paths", str(f)]) == 2
+        assert capsys.readouterr().err == f"error: {f}: {site}: start and target must differ\n"
+
     @pytest.mark.parametrize("line, message", [
         ("edge 1", "edge line needs 2 vertex id(s)"),
         ("edge 2 2", "self-loop edge (2, 2)"),

@@ -16,7 +16,16 @@ from empower.generators import (
     random_digraph,
     random_no_split_graph,
 )
-from empower.graph import EmergyGraph, NodeKind, reachability_to_target
+import empower.graph
+from empower.fixtures import load_textbook
+from empower.graph import (
+    EmergyGraph,
+    NodeKind,
+    parse_graph,
+    reachability_to_target,
+    serialize_graph,
+    topological_order,
+)
 from empower.hardness import build_reduction
 from empower.paths import EmergyPath, enumerate_emergy_paths
 from empower.solver import ArcSearch, brute_force_solve, solve_general
@@ -27,6 +36,7 @@ from helpers import (
     build_source_trie,
     evaluate_trie,
     pairwise_compatible,
+    path_value,
     trie_solve,
 )
 
@@ -285,6 +295,50 @@ class TestAgainstOracles:
         first = next(result.witness_paths())
         assert first.nodes[:4] == (1, 2, 3, 5)
         assert first.value == Fraction(1, 2 ** 40)
+
+
+class TestPerGraphTables:
+    """What depends on the graph alone is derived once per graph and shared
+    by every arc query on it."""
+
+    @pytest.mark.parametrize("make", [load_textbook, lambda: random_cyclic(12, 0.4, 3, 4)],
+                             ids=["textbook", "random-cyclic"])
+    def test_one_topological_order_per_graph(self, make, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return topological_order(g)
+
+        monkeypatch.setattr(empower.graph, "topological_order", counted)
+        g = make()
+        arcs = sorted(g.arcs)
+        shared = [solve_general(g, arc) for arc in arcs]
+        assert calls == [g]
+        text = serialize_graph(g)
+        for arc, result in zip(arcs, shared):
+            fresh = solve_general(parse_graph(text), arc)
+            assert result.value == fresh.value
+            assert result.witness.paths == fresh.witness.paths
+            assert result.stats == fresh.stats
+
+    def test_equal_path_values_share_one_fraction(self):
+        g, arc = diamond_chain(6, Fraction(7, 3))
+        paths = solve_general(g, arc).witness.paths
+        assert len(paths) == 2 ** 6
+        assert paths[0].value == Fraction(7, 3) / 2 ** 6
+        assert all(p.value is paths[0].value for p in paths)
+
+    def test_distinct_path_values_stay_exact(self):
+        g = random_dag(10, 0.5, 2)
+        distinct = 0
+        for arc in sorted(g.arcs):
+            paths = solve_general(g, arc).witness.paths
+            for p in paths:
+                assert p.value == path_value(g, p.nodes)
+            if len(paths) > 1 and len({p.value for p in paths}) == len(paths):
+                distinct += 1
+        assert distinct
 
 
 class TestBruteForce:
