@@ -34,16 +34,23 @@ suites:
   instance parameters are kept, and every side after the first counts the
   seeds on which it was better and worse than the first on each metric.
   Every run must exit 0 and answer correctly.
+
+Each child runs in a session of its own. Stopped by SIGTERM or Ctrl-C, the
+script kills the running child's whole session, `perfbench/run.py`'s own
+children included, and leaves through `SystemExit`, so the temporary trees
+are removed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import resource
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -84,11 +91,19 @@ def run(argv: list[str], pythonpath: Path, write_bytecode: bool = False) -> tupl
     if write_bytecode:
         del env["PYTHONDONTWRITEBYTECODE"]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = subprocess.run(argv, env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    proc = subprocess.Popen(argv, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate()
+    except BaseException:
+        with contextlib.suppress(ProcessLookupError):  # the session may be gone
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(argv)} under {pythonpath} failed:\n{proc.stderr}")
-    return (after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime) * 1000, proc.stdout
+        raise SystemExit(f"{' '.join(argv)} under {pythonpath} failed:\n{stderr}")
+    return (after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime) * 1000, stdout
 
 
 def rotated(items: list, r: int) -> list:
@@ -303,7 +318,12 @@ SUITES = {"cli-startup": (cli_startup, 15), "count-paths": (count_paths, 5),
           **{w["name"]: (partial(perfbench, w["name"]), 10) for w in BENCHMARK["workloads"]}}
 
 
+def stop(signum: int, frame) -> None:
+    raise SystemExit(f"stopped by signal {signum}")
+
+
 def main() -> None:
+    signal.signal(signal.SIGTERM, stop)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("suite", choices=SUITES)
     parser.add_argument("--src", action="append", metavar="[NAME=]DIR",

@@ -33,8 +33,8 @@ def main():
     result = solve_general(inst.graph, inst.target_arc)
     empower = result.value
     exit_weight = inst.graph.arcs[inst.target_arc]
-    # one search frame per memo entry on an acyclic instance, one per path
-    # prefix entered on a cyclic one
+    # one search frame per node entered from another strongly connected
+    # component, one per path prefix entered inside a component
     print(f"Em(target arc) = {empower} ({result.stats.path_count} emergy paths, "
           f"{result.stats.tree_nodes} search frames)")
     rescaled = empower / exit_weight

@@ -13,7 +13,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 
 class NodeKind(Enum):
@@ -104,6 +104,9 @@ class SearchTable:
     (index, arc weight numerator, arc weight denominator) and `pred[i]` its
     predecessor indices. `acyclic` tells whether the graph has no directed
     cycle, and `cycle` is the closed cycle `topological_order` found if not.
+    `tail_table(t)` is the part that depends on an arc tail, derived on the
+    first query with tail `t` and kept. Like the rest, it holds indices and
+    options only, never what a search found.
     """
 
     def __init__(self, g: EmergyGraph):
@@ -117,6 +120,21 @@ class SearchTable:
         topo = topological_order(g)
         self.acyclic = topo.order is not None
         self.cycle = topo.cycle
+        self.tails: dict[int, TailTable] = {}
+
+    def tail_table(self, tail: int) -> TailTable:
+        """The live graph of arc tail index `tail`, derived on first use and kept."""
+        found = self.tails.get(tail)
+        if found is None:
+            live = self.reaching(tail)
+            options = []
+            for v, succ in enumerate(self.succ):
+                kept = [option for option in succ if live[option[0]]] if live[v] and v != tail else ()
+                # the tables are kept, so a node that keeps every option
+                # shares the graph's list instead of a copy
+                options.append(succ if len(kept) == len(succ) else kept)
+            found = self.tails[tail] = TailTable(options, components(options))
+        return found
 
     def reaching(self, tail: int) -> list[bool]:
         """For each node index, whether it has a directed path to index
@@ -133,6 +151,65 @@ class SearchTable:
         return seen
 
 
+class TailTable(NamedTuple):
+    """The graph a path search toward one arc tail walks.
+
+    `options[v]` are node index `v`'s successor options that can still reach
+    the tail; the tail's own are cut, because every path stops there. So the
+    options hold no arc into a node that cannot reach the tail and none out
+    of the tail. `comp[v]` is the id of `v`'s strongly connected component in
+    that graph. The tail is a component of its own.
+    """
+
+    options: list[Sequence[tuple[int, int, int]]]
+    comp: list[int]
+
+
+def components(options: list[Sequence[tuple[int, int, int]]]) -> list[int]:
+    """Each node index's strongly connected component id under `options`
+    (lists of (successor index, ...) tuples), by one iterative pass of
+    Tarjan's algorithm (SIAM J. Comput. 1972).
+    """
+    n = len(options)
+    comp = [-1] * n
+    order = [0] * n  # discovery number, from 1; 0 for a node not yet seen
+    low = [0] * n
+    stack: list[int] = []
+    seen = closed = 0
+    for root in range(n):
+        if order[root]:
+            continue
+        seen += 1
+        order[root] = low[root] = seen
+        stack.append(root)
+        work = [(root, iter(options[root]))]
+        while work:
+            v, untried = work[-1]
+            for option in untried:
+                w = option[0]
+                if not order[w]:
+                    seen += 1
+                    order[w] = low[w] = seen
+                    stack.append(w)
+                    work.append((w, iter(options[w])))
+                    break
+                # seen and not yet in a component: on the stack
+                if comp[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = closed
+                        if w == v:
+                            break
+                    closed += 1
+    return comp
+
+
 class Violation(NamedTuple):
     """One broken graph rule; `subject` is a node id or an arc pair."""
 
@@ -146,13 +223,6 @@ def require_arc(g: EmergyGraph, arc: tuple[int, int]) -> tuple[int, int]:
     if arc not in g.arcs:
         raise ValueError(f"({arc[0]}, {arc[1]}) is not an arc of the graph")
     return arc
-
-
-def reachability_to_target(g: EmergyGraph, arc: tuple[int, int]) -> frozenset[int]:
-    """Nodes with a directed path to the arc tail, the tail included."""
-    tail, _ = require_arc(g, arc)
-    table = g.search_table
-    return frozenset(v for v, live in zip(table.ids, table.reaching(table.index[tail])) if live)
 
 
 # ASCII digits only: `\d` and `str.isdigit` also accept characters such as

@@ -10,12 +10,14 @@ exponentially many paths (2^k on a diamond chain of k layers), stays in the
 search's entries as the branches each one kept and becomes paths only when
 asked for, one at a time, already in lexicographic order.
 
-On an acyclic graph what the search finds below a node does not depend on
-the path that led there, so the search is memoized per node and visits
-each node once. On a graph with a cycle it does depend on it: the search
-skips the successors already on the current path, memoizes nothing, and
-its cost stays exponential (counting simple paths reduces to this problem,
-see `empower.hardness`).
+What the search finds below a node depends on the path that led there
+only through the on-path nodes it can reach, and those all lie in its
+strongly connected component of the graph the search walks. So where the
+path enters a new component the search keeps its entry in a per-node memo
+and reads it back: on an acyclic graph that is every node, visited once.
+Inside a component the search skips the successors already on the current
+path and memoizes nothing, and there its cost stays exponential (counting
+simple paths reduces to this problem, see `empower.hardness`).
 
 `brute_force_solve` maximizes over all compatible subsets directly and
 exists purely as an oracle for small instances.
@@ -41,8 +43,9 @@ class EmergyState(NamedTuple):
 
 class SolveStats(NamedTuple):
     """What a solve did: emergy paths of the arc, witness paths, and the
-    search's frames (one per memo entry on an acyclic graph, one per path
-    prefix entered on a cyclic one)."""
+    search's frames: one per node entered from another strongly connected
+    component, which the memo then holds, and one per path prefix entered
+    inside a component. On an acyclic graph that is one per memo entry."""
 
     path_count: int
     witness_count: int
@@ -77,8 +80,8 @@ class SolveResult:
 # of the arc weights below it, summed over the kept paths. Products stay
 # unreduced and only sums are reduced, so the search builds no `Fraction`,
 # which costs more per step than the arithmetic. The tuple is flat because
-# on a cyclic graph the search keeps an entry per path prefix, and the
-# garbage collector walks every container that stays alive.
+# inside a strongly connected component the search keeps an entry per path
+# prefix, and the garbage collector walks every container that stays alive.
 _DEAD = (0, 1, 0, 0)
 
 
@@ -88,12 +91,13 @@ class ArcSearch:
     What depends on the graph alone is derived once per graph and kept on
     it (`EmergyGraph.search_table`): the index form of the nodes, their
     kinds, the successor options with unpacked weights, the predecessors and
-    whether the graph is acyclic. Construction does only what depends on
-    the arc: it marks the nodes that can reach the arc tail and keeps, for
-    each, the options into them. The search runs on demand, once per start
-    node. On an acyclic graph all start nodes share one memo; on a cyclic
-    graph every start node gets a fresh search. Assumes a valid graph:
-    positive weights, sources without predecessors.
+    whether the graph is acyclic. What depends on the arc tail is derived
+    once per tail and kept there too (`SearchTable.tail_table`): the options
+    into nodes that can reach the tail, and the strongly connected
+    components of the graph they form. Construction keeps the memo, which
+    holds the tail's leaf entry and nothing else yet. The search runs on
+    demand, once per start node, and all start nodes share the memo. Assumes
+    a valid graph: positive weights, sources without predecessors.
     """
 
     def __init__(self, g: EmergyGraph, arc: tuple[int, int]):
@@ -104,26 +108,29 @@ class ArcSearch:
         self.ids, self.index, self.kinds = table.ids, table.index, table.kinds
         tail = self.index[self.tail]
         # the search enters only nodes that reach the tail, and stops there
-        live = table.reaching(tail)
-        self.options = [
-            [option for option in succ if live[option[0]]] if live[v] and v != tail else []
-            for v, succ in enumerate(table.succ)]
+        self.options, self.comp = table.tail_table(tail)
         # the entries that do not depend on the path that led to their node:
-        # every node's on an acyclic graph, only the arc tail's on a cyclic one
+        # those of the roots and of the nodes entered from another component
         self.memo: list[tuple | None] = [None] * len(self.ids)
         last = g.arcs[self.tail, self.head]
         self.leaf = (last.numerator, last.denominator, 1, 1)
         self.memo[tail] = self.leaf
         # the nodes on the path the search is on, which the path may not
-        # enter again; all false between searches, and on an acyclic graph
-        # no successor is ever on it
+        # enter again; all false between searches
         self.on_path = [False] * len(self.ids)
         self.frame_count = 0
 
     def entry(self, node: int) -> tuple:
-        """The search's entry for `node` as the first node of the paths:
-        the memo entry on an acyclic graph, a fresh search on a cyclic one.
+        """The search's entry for `node` as the first node of the paths,
+        from the memo when an earlier search kept it.
 
+        The search keeps an entry in the memo where the path enters a new
+        strongly connected component of the live graph, and reads it back
+        there. The entry of such a node w does not depend on the path that
+        led to it: an on-path node that w could reach would close a cycle
+        through the node the path entered w from, putting that node in w's
+        component, which it is not in. The tail is a component of its own,
+        so its entry, the leaf, is always found.
         A node with no live branch is dead and one with a single branch
         passes it through, with the arc weight multiplied in; only a node
         with several branches goes to `_combine`.
@@ -133,27 +140,31 @@ class ArcSearch:
         found = memo[root]
         if found is not None:
             return found
-        options, acyclic, on_path = self.options, self.acyclic, self.on_path
+        options, comp, on_path = self.options, self.comp, self.on_path
         combine = self._combine
         on_path[root] = True
-        # a frame is (node, its options not yet tried, kept branches flat,
-        # the option leading to it)
-        frames = [(root, iter(options[root]), [], None)]
+        # a frame is (node, its component, its options not yet tried, kept
+        # branches flat, the option leading to it)
+        frames = [(root, comp[root], iter(options[root]), [], None)]
         count = 1
         while True:
-            v, untried, kept, via = frames[-1]
+            v, here, untried, kept, via = frames[-1]
             for option in untried:
                 w = option[0]
-                if on_path[w]:
+                there = comp[w]
+                if there != here:
+                    # a node of another component is never on the path
+                    sub = memo[w]
+                    if sub is not None:
+                        if sub[2]:
+                            kept += option, sub
+                        continue
+                elif on_path[w]:
                     continue
-                sub = memo[w]
-                if sub is None:
-                    on_path[w] = True
-                    frames.append((w, iter(options[w]), [], option))
-                    count += 1
-                    break
-                if sub[2]:
-                    kept += option, sub
+                on_path[w] = True
+                frames.append((w, there, iter(options[w]), [], option))
+                count += 1
+                break
             else:
                 frames.pop()
                 on_path[v] = False
@@ -164,13 +175,15 @@ class ArcSearch:
                     result = (w_num * sub[0], w_den * sub[1], sub[2], sub[3], *kept)
                 else:
                     result = combine(v, kept)
-                if acyclic:
-                    memo[v] = result
                 if not frames:
+                    memo[v] = result
                     self.frame_count += count
                     return result
+                parent = frames[-1]
+                if parent[1] != here:
+                    memo[v] = result
                 if result[2]:
-                    frames[-1][2].extend((via, result))
+                    parent[3].extend((via, result))
 
     def _combine(self, v: int, kept: list) -> tuple:
         """The entry of node index `v` from two or more live branches,
@@ -266,7 +279,7 @@ class ArcSearch:
 
 def solve_general(g: EmergyGraph, arc: tuple[int, int]) -> SolveResult:
     """Maximum empower of `arc` by one path search per source, memoized
-    per node on an acyclic graph.
+    where the path enters a new strongly connected component.
 
     Returns value 0 with an empty witness when no source reaches the arc.
     """

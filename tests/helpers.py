@@ -5,6 +5,7 @@ path oracle enumerates every bounded walk and filters by the definition, the
 induced-path oracle scans raw vertex quadruples, the subset maximizer grows
 compatible sets directly from the relation, and the trie oracle builds each
 source's prefix trie from the materialised paths and evaluates it bottom-up.
+`emergy_graphs` draws small valid graphs for the property tests.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from fractions import Fraction
 from itertools import combinations, groupby
 from typing import Sequence
 
+from hypothesis import strategies as st
+
 from empower.compat import CompatibilityGraph, compatible, find_induced_p4
-from empower.graph import EmergyGraph, NodeKind
+from empower.graph import EmergyGraph, NodeKind, require_arc
 from empower.paths import EmergyPath, enumerate_emergy_paths
 from empower.solver import ArcSearch
 
@@ -38,6 +41,13 @@ def path_value(g: EmergyGraph, path: Sequence[int] | None) -> Fraction:
     if g.kind.get(path[0]) is NodeKind.SOURCE:
         value *= g.source_emergy[path[0]]
     return value
+
+
+def reachability_to_target(g: EmergyGraph, arc: tuple[int, int]) -> frozenset[int]:
+    """Nodes with a directed path to the arc tail, the tail included."""
+    tail, _ = require_arc(g, arc)
+    table = g.search_table
+    return frozenset(v for v, live in zip(table.ids, table.reaching(table.index[tail])) if live)
 
 
 def pairwise_compatible(g: EmergyGraph, paths: Sequence[EmergyPath]) -> bool:
@@ -270,3 +280,39 @@ def trie_solve(g: EmergyGraph, arc: tuple[int, int]) -> tuple[Fraction, tuple[Em
         total += value
         chosen.extend(selected)
     return total, tuple(sorted(chosen)), len(paths)
+
+
+@st.composite
+def emergy_graphs(draw, max_inner: int = 6) -> EmergyGraph:
+    """A valid emergy graph of one to three sources, one to `max_inner`
+    splits and co-products, and one or two outputs.
+
+    Each source feeds one split or co-product, which other sources may feed
+    too. Each split or co-product draws one to three successors among all
+    non-source nodes but itself, so arcs run back as often as forward:
+    cycles, arcs into a node already on the path and co-product branches
+    that meet again inside a cycle all occur. A node with one successor is a
+    split; a split's integer shares of 1 to 3 become weights summing to 1.
+    """
+    n_sources = draw(st.integers(1, 3))
+    n_inner = draw(st.integers(1, max_inner))
+    n_outputs = draw(st.integers(1, 2))
+    inner = range(n_sources + 1, n_sources + n_inner + 1)
+    targets = range(n_sources + 1, n_sources + n_inner + n_outputs + 1)
+    kind = {t: NodeKind.OUTPUT for t in targets}
+    emergy, arcs = {}, {}
+    for s in range(1, n_sources + 1):
+        kind[s] = NodeKind.SOURCE
+        emergy[s] = Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+        arcs[s, draw(st.sampled_from(inner))] = Fraction(1)
+    for v in inner:
+        succ = draw(st.lists(st.sampled_from([t for t in targets if t != v]),
+                             min_size=1, max_size=3, unique=True))
+        if len(succ) > 1 and draw(st.booleans()):
+            kind[v] = NodeKind.COPRODUCT
+            arcs.update({(v, w): Fraction(1) for w in succ})
+        else:
+            kind[v] = NodeKind.SPLIT
+            shares = [draw(st.integers(1, 3)) for _ in succ]
+            arcs.update({(v, w): Fraction(k, sum(shares)) for w, k in zip(succ, shares)})
+    return EmergyGraph(kind, emergy, arcs)

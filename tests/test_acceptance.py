@@ -19,7 +19,7 @@ from empower.generators import (
     random_digraph,
     random_no_split_graph,
 )
-from empower.graph import EmergyGraph, reachability_to_target
+from empower.graph import EmergyGraph
 from empower.hardness import (
     Digraph,
     build_reduction,
@@ -33,6 +33,7 @@ from helpers import (
     arc_with_most_paths,
     best_compatible_value,
     is_p4_free,
+    reachability_to_target,
     rooted_simple_paths,
     search_value_table,
 )

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from empower.dag import GraphCycleError, solve_dag
 from empower.generators import diamond_chain, random_dag
-from empower.graph import EmergyGraph, NodeKind, reachability_to_target
+from empower.graph import EmergyGraph, NodeKind
 from empower.solver import ArcSearch, brute_force_solve, solve_general
 from helpers import (
     arc_with_most_paths,
     best_compatible_value,
+    reachability_to_target,
     rooted_simple_paths,
     search_value_table,
 )

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from empower.compat import build_compatibility_graph, compatible
@@ -21,10 +22,11 @@ from empower.fixtures import load_textbook
 from empower.graph import (
     EmergyGraph,
     NodeKind,
+    components,
     parse_graph,
-    reachability_to_target,
     serialize_graph,
     topological_order,
+    validate_graph,
 )
 from empower.hardness import build_reduction
 from empower.paths import EmergyPath, enumerate_emergy_paths
@@ -34,9 +36,11 @@ from helpers import (
     arc_with_most_paths,
     best_compatible_value,
     build_source_trie,
+    emergy_graphs,
     evaluate_trie,
     pairwise_compatible,
     path_value,
+    reachability_to_target,
     trie_solve,
 )
 
@@ -47,6 +51,48 @@ def chain_graph(length: int, emergy: Fraction) -> tuple[EmergyGraph, tuple[int, 
     kinds.update({i: NodeKind.SPLIT for i in range(2, length)})
     arcs = {(i, i + 1): Fraction(1) for i in range(1, length)}
     return EmergyGraph(kinds, {1: emergy}, arcs), (length - 1, length)
+
+
+def diamond_chain_into_cycle(layers: int) -> tuple[EmergyGraph, dict]:
+    """`diamond_chain(layers)` whose last merge feeds a co-product x on the
+    two-node cycle x <-> y instead of the output: x -> y and x -> o1 weigh 1,
+    y -> x and y -> o2 weigh 1/2. Returns the graph and the value of every
+    arc from the last merge on, each of which carries 2**layers paths."""
+    g, (merge, x) = diamond_chain(layers)
+    y, o1, o2 = x + 1, x + 2, x + 3
+    kinds = {**g.kind, x: NodeKind.COPRODUCT, y: NodeKind.SPLIT,
+             o1: NodeKind.OUTPUT, o2: NodeKind.OUTPUT}
+    half = Fraction(1, 2)
+    arcs = {**g.arcs, (x, y): Fraction(1), (x, o1): Fraction(1), (y, x): half, (y, o2): half}
+    values = {(merge, x): 1, (x, y): 1, (x, o1): 1, (y, x): half, (y, o2): half}
+    return EmergyGraph(kinds, g.source_emergy, arcs), values
+
+
+def head_on_path(g: EmergyGraph) -> bool:
+    """Some emergy path ends at a node it already passed through."""
+    return any(p.nodes[-1] in p.nodes[:-1]
+               for arc in g.arcs for p in enumerate_emergy_paths(g, arc))
+
+
+def coproduct_branches_meet_in_a_cycle(g: EmergyGraph) -> bool:
+    """Some co-product has two successors that both reach a node from which
+    the co-product can be reached again."""
+    below = {v: descendants(g, v) for v in g.nodes}
+    return any(c in below[m]
+               for c in g.nodes if g.kind[c] is NodeKind.COPRODUCT
+               for a, b in combinations(g.succ[c], 2)
+               for m in below[a] & below[b])
+
+
+def descendants(g: EmergyGraph, v: int) -> set[int]:
+    """The nodes `v` reaches, itself included."""
+    seen, todo = {v}, [v]
+    while todo:
+        for w in g.succ[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
 
 
 def family_instances(seed: int):
@@ -211,6 +257,18 @@ class TestSolveGeneral:
         for p in enumerate_emergy_paths(textbook, (4, 7)):
             assert best >= p.value
 
+    def test_cycle_downstream_of_a_dag_memoizes_the_dag(self):
+        """A cycle below a diamond chain leaves the chain's nodes memoized:
+        each of them starts its own strongly connected component."""
+        g, values = diamond_chain_into_cycle(16)
+        assert validate_graph(g) == []
+        for arc in sorted(g.arcs):
+            result = solve_general(g, arc)
+            assert result.stats.tree_nodes <= 60
+            if arc in values:
+                assert result.value == values[arc]
+                assert result.stats.path_count == result.stats.witness_count == 2 ** 16
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_no_split_graphs_sum_reaching_sources(self, seed):
@@ -237,6 +295,7 @@ class TestAgainstOracles:
             brute = brute_force_solve(g, arc)
             assert brute.value == result.value
             assert brute.witness.paths == result.witness.paths
+        return result
 
     def test_textbook_every_arc(self, textbook):
         for arc in sorted(textbook.arcs):
@@ -288,6 +347,30 @@ class TestAgainstOracles:
         assert [p.nodes for p in result.witness.paths] == [tuple(range(1, 3001))]
         assert [p.nodes for p in enumerate_emergy_paths(g, arc)] == [tuple(range(1, 3001))]
 
+    @given(emergy_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_drawn_graphs(self, g):
+        """Every arc of a drawn graph; a failure shrinks to a small graph."""
+        assert validate_graph(g) == []
+        for arc in sorted(g.arcs):
+            result = self.check(g, arc)
+            witness = result.witness.paths
+            assert pairwise_compatible(g, witness)
+            assert sum((p.value for p in witness), Fraction(0)) == result.value
+            assert result.stats.path_count == len(enumerate_emergy_paths(g, arc))
+
+    @pytest.mark.parametrize("shape", [
+        lambda g: len({g.succ[s] for s in g.sources}) < len(g.sources),
+        coproduct_branches_meet_in_a_cycle,
+        head_on_path,
+        lambda g: any(g.succ[g.succ[s][0]] for s in g.sources),
+    ], ids=["sources-share-a-node", "coproduct-branches-meet-in-a-cycle",
+            "head-on-path", "source-feeds-a-tail"])
+    def test_drawn_graphs_have_shape(self, shape):
+        """The strategy draws the shapes the generator families never make."""
+        find(emergy_graphs(), shape,
+             settings=settings(max_examples=500, database=None, phases=[Phase.generate]))
+
     def test_witness_streams_lazily(self):
         g, arc = diamond_chain(40)
         result = solve_general(g, arc)
@@ -301,20 +384,33 @@ class TestPerGraphTables:
     """What depends on the graph alone is derived once per graph and shared
     by every arc query on it."""
 
-    @pytest.mark.parametrize("make", [load_textbook, lambda: random_cyclic(12, 0.4, 3, 4)],
-                             ids=["textbook", "random-cyclic"])
+    @pytest.mark.parametrize("make", [
+        load_textbook, lambda: random_cyclic(12, 0.4, 3, 4),
+        lambda: build_reduction(random_digraph(5, 0.6, 2)).graph,
+        lambda: diamond_chain_into_cycle(6)[0]],
+        ids=["textbook", "random-cyclic", "reduction", "diamond-chain-into-cycle"])
     def test_one_topological_order_per_graph(self, make, monkeypatch):
-        calls = []
+        """One topological order per graph and one tail table per arc tail,
+        with every arc solved twice; the answers and stats are those of a
+        freshly parsed graph."""
+        calls, tables = [], []
 
         def counted(g):
             calls.append(g)
             return topological_order(g)
 
+        def counted_components(options):
+            tables.append(options)
+            return components(options)
+
         monkeypatch.setattr(empower.graph, "topological_order", counted)
+        monkeypatch.setattr(empower.graph, "components", counted_components)
         g = make()
-        arcs = sorted(g.arcs)
+        arcs = sorted(g.arcs) * 2
         shared = [solve_general(g, arc) for arc in arcs]
         assert calls == [g]
+        tails = {g.search_table.index[tail] for tail, _ in arcs}
+        assert len(tables) == len(tails) and set(g.search_table.tails) == tails
         text = serialize_graph(g)
         for arc, result in zip(arcs, shared):
             fresh = solve_general(parse_graph(text), arc)
