@@ -13,8 +13,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn
 
-from .graph import EmergyGraph, ParseError, parse_graph, serialize_graph, validate_graph
-from .solver import ArcSearch, SolveResult, brute_force_solve
+from .graph import (_MAX_DIGITS, _TOO_LONG, EmergyGraph, ParseError, parse_graph, parse_id,
+                    serialize_graph, validate_graph)
+from .solver import SolveResult, brute_force_solve, solve_general
 
 # A process runs one command: the hardness reduction, the generators and the
 # compatibility graph are imported inside the commands that use them.
@@ -41,17 +42,23 @@ def _arc(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected L,LP, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
+    try:  # ids as a file has them: ASCII digits only
+        return tuple(parse_id(part.strip(), "node id", 1, 1) for part in parts)
+    except ParseError:
         raise argparse.ArgumentTypeError(f"arc endpoints must be integers: {text!r}") from None
 
 
 def _positive_rational(text: str) -> Fraction:
+    # `Fraction` builds 10**exponent before anything can be checked; past
+    # this bound no value of the text fits the digits a file may hold
+    _, _, exponent = text.lower().partition("e")
     try:
-        value = Fraction(text)
+        huge = abs(int(exponent or 0)) > 2 * _MAX_DIGITS + len(text)
+        value = None if huge else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected a rational, got {text!r}") from None
+    if value is None or max(abs(value.numerator), value.denominator) >= _TOO_LONG:
+        raise argparse.ArgumentTypeError(f"a value may have at most {_MAX_DIGITS} digits")
     if value <= 0:
         raise argparse.ArgumentTypeError("value must be positive")
     return value
@@ -122,15 +129,15 @@ def _solve(g: EmergyGraph, arc: tuple[int, int], method: str,
             return method, brute_force_solve(g, arc)
         except ValueError as exc:
             _fail(str(exc), 3)
-    search = ArcSearch(g, arc)
+    acyclic = g.search_table.acyclic
     if method == "auto":
-        method = "dag" if search.acyclic and not want_state else "cotree"
+        method = "dag" if acyclic and not want_state else "cotree"
     if method == "dag":
         if want_state:
             _fail("the dag method computes the value only; drop --state", 2)
-        if not search.acyclic:
+        if not acyclic:
             _fail("the dag method needs an acyclic instance; use cotree", 3)
-    return method, search.solve()
+    return method, solve_general(g, arc)
 
 
 def cmd_solve(args) -> int:
@@ -173,7 +180,7 @@ def cmd_check_cograph(args) -> int:
 
     g = _load(args)
     # count the paths without listing them, so the cap comes before the O(n^2) work
-    n = ArcSearch(g, args.arc).solve().stats.path_count
+    n = solve_general(g, args.arc).stats.path_count
     if n > args.cap:
         _fail(f"{n} vertices exceed the induced-path check cap {args.cap}", 3)
     cg = build_compatibility_graph(g, args.arc)

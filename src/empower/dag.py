@@ -2,16 +2,16 @@
 
 On a DAG the memoized search of `empower.solver` enters each node once,
 so its cost is linear in the graph. `solve_dag` is that search behind an
-acyclicity guard: it refuses a cyclic graph before searching and returns
-the value only.
+acyclicity guard (`SearchTable.acyclic`): it refuses a cyclic graph before
+searching, naming a cycle, and returns the value only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .graph import EmergyGraph
-from .solver import ArcSearch
+from .graph import EmergyGraph, require_arc, topological_order
+from .solver import solve_general
 
 
 class GraphCycleError(ValueError):
@@ -24,7 +24,7 @@ class GraphCycleError(ValueError):
 
 def solve_dag(g: EmergyGraph, arc: tuple[int, int]) -> Fraction:
     """Maximum empower of `arc` on an acyclic graph, without a witness."""
-    search = ArcSearch(g, arc)
-    if not search.acyclic:
-        raise GraphCycleError(search.cycle)
-    return search.solve().value
+    require_arc(g, arc)
+    if not g.search_table.acyclic:
+        raise GraphCycleError(topological_order(g).cycle)
+    return solve_general(g, arc).value

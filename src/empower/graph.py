@@ -101,12 +101,12 @@ class SearchTable:
 
     Node `i` is the `i`-th id of `ids` (ascending) and `index` maps back.
     `kinds[i]` is its kind, `succ[i]` its successors ascending as
-    (index, arc weight numerator, arc weight denominator) and `pred[i]` its
-    predecessor indices. `acyclic` tells whether the graph has no directed
-    cycle, and `cycle` is the closed cycle `topological_order` found if not.
-    `tail_table(t)` is the part that depends on an arc tail, derived on the
-    first query with tail `t` and kept. Like the rest, it holds indices and
-    options only, never what a search found.
+    (index, arc weight numerator, arc weight denominator), `pred[i]` its
+    predecessor indices and `comp[i]` its strongly connected component, from
+    the one pass that finds the graph's structure (`components`). `acyclic`
+    is true when every component is a single node. `tail_table(t)` is the
+    part that depends on an arc tail, derived on the first query with tail
+    `t` and kept. Like the rest, it holds indices and options only.
     """
 
     def __init__(self, g: EmergyGraph):
@@ -117,9 +117,8 @@ class SearchTable:
         self.succ = [[(index[w], arcs[v, w].numerator, arcs[v, w].denominator)
                       for w in g.succ[v]] for v in ids]
         self.pred = [[index[u] for u in g.pred[v]] for v in ids]
-        topo = topological_order(g)
-        self.acyclic = topo.order is not None
-        self.cycle = topo.cycle
+        self.comp = comp = components(self.succ)
+        self.acyclic = max(comp, default=-1) + 1 == len(comp)
         self.tails: dict[int, TailTable] = {}
 
     def tail_table(self, tail: int) -> TailTable:
@@ -168,7 +167,8 @@ class TailTable(NamedTuple):
 def components(options: list[Sequence[tuple[int, int, int]]]) -> list[int]:
     """Each node index's strongly connected component id under `options`
     (lists of (successor index, ...) tuples), by one iterative pass of
-    Tarjan's algorithm (SIAM J. Comput. 1972).
+    Tarjan's algorithm (SIAM J. Comput. 1972). Ids count up as components
+    close, so every arc between two components points to a smaller id.
     """
     n = len(options)
     comp = [-1] * n
@@ -429,30 +429,22 @@ class TopoResult(NamedTuple):
 
 
 def topological_order(g: EmergyGraph) -> TopoResult:
-    """Depth-first order computation, deterministic by ascending node ids."""
-    GRAY, BLACK = 1, 2
-    state: dict[int, int] = {}
-    finished: list[int] = []
-    for root in g.nodes:
-        if root in state:
-            continue
-        state[root] = GRAY
-        path = [root]
-        iters = [iter(g.successors(root))]
-        while path:
-            nxt = next(iters[-1], None)
-            if nxt is None:
-                done = path.pop()
-                iters.pop()
-                state[done] = BLACK
-                finished.append(done)
-                continue
-            mark = state.get(nxt, 0)
-            if mark == GRAY:
-                start = path.index(nxt)
-                return TopoResult(None, tuple(path[start:]) + (nxt,))
-            if mark == 0:
-                state[nxt] = GRAY
-                path.append(nxt)
-                iters.append(iter(g.successors(nxt)))
-    return TopoResult(tuple(reversed(finished)), None)
+    """The components of `g` (`SearchTable.comp`) as a topological order or
+    a cycle, deterministic by ascending ids. An acyclic graph's order is the
+    ids in reverse order of closing. Otherwise the cycle starts at the
+    smallest node in a component of several nodes, steps each time to the
+    smallest successor in that component and is cut where it first repeats.
+    """
+    table = g.search_table
+    ids, comp = table.ids, table.comp
+    if table.acyclic:  # one component per node, numbered as they close
+        return TopoResult(tuple(sorted(ids, key=lambda i: -comp[table.index[i]])), None)
+    # with no self-loops, a node is in a component of several nodes exactly
+    # when one of its successors is in its component
+    inside = [[w for w, _, _ in succ if comp[w] == comp[v]] for v, succ in enumerate(table.succ)]
+    v = next(v for v, ahead in enumerate(inside) if ahead)
+    walk: dict[int, int] = {}  # each node's position in the walk
+    while v not in walk:
+        walk[v] = len(walk)
+        v = inside[v][0]
+    return TopoResult(None, tuple(ids[w] for w in [*walk][walk[v]:] + [v]))

@@ -90,21 +90,20 @@ class ArcSearch:
 
     What depends on the graph alone is derived once per graph and kept on
     it (`EmergyGraph.search_table`): the index form of the nodes, their
-    kinds, the successor options with unpacked weights, the predecessors and
-    whether the graph is acyclic. What depends on the arc tail is derived
-    once per tail and kept there too (`SearchTable.tail_table`): the options
-    into nodes that can reach the tail, and the strongly connected
-    components of the graph they form. Construction keeps the memo, which
-    holds the tail's leaf entry and nothing else yet. The search runs on
-    demand, once per start node, and all start nodes share the memo. Assumes
-    a valid graph: positive weights, sources without predecessors.
+    kinds, the successor options with unpacked weights and the
+    predecessors. What depends on the arc tail is derived once per tail and
+    kept there too (`SearchTable.tail_table`): the options into nodes that
+    can reach the tail, and the strongly connected components of the graph
+    they form. Construction keeps the memo, which holds the tail's leaf
+    entry and nothing else yet. The search runs on demand, once per start
+    node, and all start nodes share the memo. Assumes a valid graph:
+    positive weights, sources without predecessors.
     """
 
     def __init__(self, g: EmergyGraph, arc: tuple[int, int]):
         self.g = g
         self.tail, self.head = require_arc(g, arc)
         table = g.search_table
-        self.acyclic, self.cycle = table.acyclic, table.cycle
         self.ids, self.index, self.kinds = table.ids, table.index, table.kinds
         tail = self.index[self.tail]
         # the search enters only nodes that reach the tail, and stops there
@@ -295,7 +294,7 @@ def brute_force_solve(g: EmergyGraph, arc: tuple[int, int], cap: int = 20) -> So
     """
     from .compat import build_compatibility_graph  # only this oracle needs it
 
-    n = ArcSearch(g, arc).solve().stats.path_count
+    n = solve_general(g, arc).stats.path_count
     if n > cap:
         raise ValueError(f"{n} paths exceed the brute-force cap {cap}")
     cg = build_compatibility_graph(g, arc)

@@ -232,6 +232,35 @@ class TestSolveCommand:
         assert main(["solve", TEXTBOOK, "--arc", "1,7"]) == 2
         assert "not an arc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arc", ["\uff14,\uff17", "+4,7", "7,1_1"])
+    def test_arc_ids_follow_the_file_rule(self, arc, capsys):
+        """`int` would read these as the arcs 4,7, 4,7 and 7,11; a file
+        refuses each of their ids."""
+        with pytest.raises(SystemExit) as caught:
+            main(["solve", TEXTBOOK, "--arc", arc])
+        assert caught.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", TEXTBOOK, "--arc", "4,7", "--period", "1e4301"],
+        ["solve", TEXTBOOK, "--arc", "4,7", "--period", "1e999999999"],
+        ["solve", TEXTBOOK, "--arc", "4,7", "--period", "1e-999999999"],
+        ["gen", "--family", "diamond-chain", "--source-emergy", "1e999999999"],
+    ])
+    def test_value_longer_than_a_file_holds_exits_two(self, argv, capsys):
+        """Refused from the text, before `Fraction` builds 10**exponent."""
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at most 4300 digits" in captured.err
+
+    @pytest.mark.parametrize("period, rate", [
+        ("0.5", "10"), ("7/4", "20/7"), ("25e-1", "2"), ("1e4299", f"1/{2 * 10 ** 4298}")])
+    def test_period_forms(self, trivial_file, period, rate, capsys):
+        assert main(["solve", trivial_file, "--arc", "1,2", "--period", period]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith(f"empower = {rate} (")
+
     def test_brute_cap_exits_three(self, tmp_path, capsys):
         assert main(["gen", "--family", "diamond-chain", "--length", "5"]) == 0
         f = tmp_path / "dc5.eg"
@@ -558,6 +587,12 @@ def test_python_m_runs_every_command(argv, digraph_file, capsys):
     proc = run_fresh(["-m", "empower.cli", *argv])
     assert main(argv) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+def test_counting_demo_agrees():
+    demo = Path(__file__).parents[1] / "scripts" / "counting_demo.py"
+    proc = run_fresh([str(demo), "--vertices", "5", "--seed", "3"])
+    assert proc.stdout.splitlines()[-1].endswith("(AGREE)")
 
 
 class TestStartupImports:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from empower.dag import GraphCycleError, solve_dag
 from empower.generators import diamond_chain, random_dag
 from empower.graph import EmergyGraph, NodeKind
-from empower.solver import ArcSearch, brute_force_solve, solve_general
+from empower.solver import brute_force_solve, solve_general
 from helpers import (
     arc_with_most_paths,
     best_compatible_value,
@@ -86,7 +86,7 @@ class TestValueTable:
         assert solve_dag(g, (2, 3)) == 7
 
     def test_cyclic_graph_raises(self, textbook):
-        assert not ArcSearch(textbook, (4, 7)).acyclic
+        assert not textbook.search_table.acyclic
         with pytest.raises(GraphCycleError) as caught:
             solve_dag(textbook, (4, 7))
         cycle = caught.value.cycle

@@ -15,6 +15,7 @@ from empower.graph import (
     EmergyGraph,
     NodeKind,
     ParseError,
+    TopoResult,
     parse_graph,
     serialize_graph,
     topological_order,
@@ -253,11 +254,24 @@ class TestTopologicalOrder:
         for a, b in zip(cycle, cycle[1:]):
             assert (a, b) in textbook.arcs
 
+    def test_pinned_outputs(self, textbook):
+        """The smallest node of a cyclic component, then the smallest
+        successor inside it; on a DAG with several valid orders, the reversed
+        finishing order of a search by ascending ids."""
+        assert topological_order(textbook) == TopoResult(None, (3, 7, 8, 6, 3))
+        g = random_dag(12, 0.5, 3)
+        order = (4, 2, 5, 3, 6, 9, 8, 11, 7, 1, 10, 12)
+        # consecutive nodes with no arc between them could swap places
+        assert any((a, b) not in g.arcs for a, b in zip(order, order[1:]))
+        assert topological_order(g) == TopoResult(order, None)
+        assert topological_order(parse_graph("")) == TopoResult((), None)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_order_respects_arcs(self, seed):
         g = random_dag(4 + seed % 10, 0.5, seed)
         order = topological_order(g).order
+        assert (order is None) == (not g.search_table.acyclic)
         assert order is not None and sorted(order) == list(g.nodes)
         position = {n: k for k, n in enumerate(order)}
         for a, b in g.arcs:
@@ -268,6 +282,7 @@ class TestTopologicalOrder:
     def test_cycle_witness_is_a_cycle(self, seed):
         g = random_cyclic(6 + seed % 6, 0.5, 1 + seed % 2, seed)
         result = topological_order(g)
+        assert (result.order is None) == (not g.search_table.acyclic)
         if result.cycle is None:
             return  # a back arc does not always close a cycle
         cycle = result.cycle
