@@ -24,6 +24,8 @@ from .solver import SolveResult, brute_force_solve, solve_general
 # solve at this arc loads `fixtures`
 TEXTBOOK_DISPUTED_ARC = (4, 7)
 
+_MAX_PLACES = 100_000
+
 
 def decimal_string(x: Fraction, places: int = 2) -> str:
     """Exact fixed-point rendering (round half away from zero); display only."""
@@ -71,6 +73,14 @@ def _non_negative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError("value must not be negative")
+    return value
+
+
+def _places(text: str) -> int:
+    # `decimal_string` builds 10**places, in time quadratic in the places
+    value = _non_negative_int(text)
+    if value > _MAX_PLACES:
+        raise argparse.ArgumentTypeError(f"at most {_MAX_PLACES} places")
     return value
 
 
@@ -129,7 +139,7 @@ def _solve(g: EmergyGraph, arc: tuple[int, int], method: str,
             return method, brute_force_solve(g, arc)
         except ValueError as exc:
             _fail(str(exc), 3)
-    acyclic = g.search_table.acyclic
+    acyclic = g.acyclic
     if method == "auto":
         method = "dag" if acyclic and not want_state else "cotree"
     if method == "dag":
@@ -279,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", type=_positive_rational, default=None, metavar="P/Q",
                    help="also print empower = value / period")
     p.add_argument("--format", choices=["text", "records"], default="text")
-    p.add_argument("--places", type=_non_negative_int, default=2,
-                   help="decimal places in renderings")
+    p.add_argument("--places", type=_places, default=2,
+                   help=f"decimal places in renderings, at most {_MAX_PLACES}")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check-cograph",

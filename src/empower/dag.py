@@ -2,7 +2,7 @@
 
 On a DAG the memoized search of `empower.solver` enters each node once,
 so its cost is linear in the graph. `solve_dag` is that search behind an
-acyclicity guard (`SearchTable.acyclic`): it refuses a cyclic graph before
+acyclicity guard (`EmergyGraph.acyclic`): it refuses a cyclic graph before
 searching, naming a cycle, and returns the value only.
 """
 
@@ -25,6 +25,6 @@ class GraphCycleError(ValueError):
 def solve_dag(g: EmergyGraph, arc: tuple[int, int]) -> Fraction:
     """Maximum empower of `arc` on an acyclic graph, without a witness."""
     require_arc(g, arc)
-    if not g.search_table.acyclic:
+    if not g.acyclic:
         raise GraphCycleError(topological_order(g).cycle)
     return solve_general(g, arc).value

@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -33,15 +32,23 @@ class ParseError(ValueError):
 
 
 class EmergyGraph:
-    """Emergy graph with precomputed sorted adjacency; not to be changed
-    after construction, because the adjacency is derived from it once.
+    """Emergy graph holding every fact the solvers read, the whole graph's
+    derived at construction; not to be changed afterwards.
 
     `kind` maps node id to its kind, `source_emergy` holds the emergy of each
-    source node, `arcs` maps (tail, head) to the arc weight. Successor and
-    predecessor lists are derived and sorted ascending by id, which makes
-    every traversal in this package deterministic. `sources` lists the source
-    ids ascending. Two graphs are equal when their kinds, emergies and arcs
-    are; a graph is not hashable.
+    source node, `arcs` maps (tail, head) to the arc weight. `sources` lists
+    the source ids and `succ[i]` the successor ids of node `i`, ascending,
+    which makes every traversal in this package deterministic. Two graphs
+    are equal when their kinds, emergies and arcs are; a graph is not
+    hashable.
+
+    The path search reads the index form: node `v` is the `v`-th id of
+    `nodes` (ascending) and `index` maps back. `kinds[v]` is its kind,
+    `options[v]` its successors ascending as (index, arc weight numerator,
+    arc weight denominator), `pred[v]` its predecessor indices ascending and
+    `comp[v]` its strongly connected component (`components`). `acyclic` is
+    true when every component is a single node. `tails` keeps each arc
+    tail's `tail_table`, so every arc query on the graph shares all of it.
 
     The constructor rejects structural nonsense (self-loops, arcs touching
     undeclared nodes, emergy entries on non-sources); the semantic rules
@@ -59,19 +66,24 @@ class EmergyGraph:
         for s, k in kind.items():
             if k is NodeKind.SOURCE and s not in self.source_emergy:
                 raise ValueError(f"source node {s} has no emergy")
-        succ: dict[int, list[int]] = {i: [] for i in kind}
-        pred: dict[int, list[int]] = {i: [] for i in kind}
         for (a, b) in self.arcs:
             if a == b:
                 raise ValueError(f"self-loop arc ({a}, {a})")
             if a not in kind or b not in kind:
                 raise ValueError(f"arc ({a}, {b}) touches an undeclared node")
-            succ[a].append(b)
-            pred[b].append(a)
-        self.succ = {i: tuple(sorted(v)) for i, v in succ.items()}
-        self.pred = {i: tuple(sorted(v)) for i, v in pred.items()}
-        self.nodes = tuple(sorted(kind))
-        self.sources = tuple(i for i in self.nodes if kind[i] is NodeKind.SOURCE)
+        self.nodes = nodes = tuple(sorted(kind))
+        self.index = index = {v: i for i, v in enumerate(nodes)}
+        self.kinds = [kind[v] for v in nodes]
+        self.sources = tuple(i for i in nodes if kind[i] is NodeKind.SOURCE)
+        self.options = options = [[] for _ in nodes]
+        self.pred = pred = [[] for _ in nodes]
+        for (a, b), w in sorted(self.arcs.items()):
+            options[index[a]].append((index[b], w.numerator, w.denominator))
+            pred[index[b]].append(index[a])
+        self.succ = {v: tuple(nodes[w] for w, _, _ in options[i]) for i, v in enumerate(nodes)}
+        self.comp = comp = components(options)
+        self.acyclic = max(comp, default=-1) + 1 == len(comp)
+        self.tails: dict[int, tuple[list, list[int]]] = {}
 
     def __eq__(self, other):
         if other.__class__ is not EmergyGraph:
@@ -83,56 +95,26 @@ class EmergyGraph:
         return (f"EmergyGraph(kind={self.kind!r}, source_emergy={self.source_emergy!r}, "
                 f"arcs={self.arcs!r})")
 
-    @cached_property
-    def search_table(self) -> SearchTable:
-        """The graph in index form, derived on first use and kept."""
-        return SearchTable(self)
+    def tail_table(self, tail: int) -> tuple[list, list[int]]:
+        """The graph a path search toward arc tail index `tail` walks, as
+        (options, comp), derived on first use and kept.
 
-    def successors(self, i: int) -> tuple[int, ...]:
-        return self.succ[i]
-
-    def predecessors(self, i: int) -> tuple[int, ...]:
-        return self.pred[i]
-
-
-class SearchTable:
-    """What the path search needs of a graph, in index form: the facts that
-    depend on the graph alone, so every arc query on it shares them.
-
-    Node `i` is the `i`-th id of `ids` (ascending) and `index` maps back.
-    `kinds[i]` is its kind, `succ[i]` its successors ascending as
-    (index, arc weight numerator, arc weight denominator), `pred[i]` its
-    predecessor indices and `comp[i]` its strongly connected component, from
-    the one pass that finds the graph's structure (`components`). `acyclic`
-    is true when every component is a single node. `tail_table(t)` is the
-    part that depends on an arc tail, derived on the first query with tail
-    `t` and kept. Like the rest, it holds indices and options only.
-    """
-
-    def __init__(self, g: EmergyGraph):
-        self.ids = ids = g.nodes
-        self.index = index = {v: i for i, v in enumerate(ids)}
-        self.kinds = [g.kind[v] for v in ids]
-        arcs = g.arcs
-        self.succ = [[(index[w], arcs[v, w].numerator, arcs[v, w].denominator)
-                      for w in g.succ[v]] for v in ids]
-        self.pred = [[index[u] for u in g.pred[v]] for v in ids]
-        self.comp = comp = components(self.succ)
-        self.acyclic = max(comp, default=-1) + 1 == len(comp)
-        self.tails: dict[int, TailTable] = {}
-
-    def tail_table(self, tail: int) -> TailTable:
-        """The live graph of arc tail index `tail`, derived on first use and kept."""
+        `options[v]` are node index `v`'s successor options that can still
+        reach the tail; the tail's own are cut, because every path stops
+        there. So the options hold no arc into a node that cannot reach the
+        tail and none out of the tail. `comp[v]` is the id of `v`'s strongly
+        connected component in that graph; the tail is a component alone.
+        """
         found = self.tails.get(tail)
         if found is None:
             live = self.reaching(tail)
             options = []
-            for v, succ in enumerate(self.succ):
+            for v, succ in enumerate(self.options):
                 kept = [option for option in succ if live[option[0]]] if live[v] and v != tail else ()
                 # the tables are kept, so a node that keeps every option
                 # shares the graph's list instead of a copy
                 options.append(succ if len(kept) == len(succ) else kept)
-            found = self.tails[tail] = TailTable(options, components(options))
+            found = self.tails[tail] = (options, components(options))
         return found
 
     def reaching(self, tail: int) -> list[bool]:
@@ -148,20 +130,6 @@ class SearchTable:
                     seen[p] = True
                     frontier.append(p)
         return seen
-
-
-class TailTable(NamedTuple):
-    """The graph a path search toward one arc tail walks.
-
-    `options[v]` are node index `v`'s successor options that can still reach
-    the tail; the tail's own are cut, because every path stops there. So the
-    options hold no arc into a node that cannot reach the tail and none out
-    of the tail. `comp[v]` is the id of `v`'s strongly connected component in
-    that graph. The tail is a component of its own.
-    """
-
-    options: list[Sequence[tuple[int, int, int]]]
-    comp: list[int]
 
 
 def components(options: list[Sequence[tuple[int, int, int]]]) -> list[int]:
@@ -367,9 +335,9 @@ def validate_graph(g: EmergyGraph) -> list[Violation]:
     """
     report: list[Violation] = []
     one = Fraction(1)
-    for i in g.nodes:
+    for v, i in enumerate(g.nodes):
         k = g.kind[i]
-        out = g.successors(i)
+        out = g.succ[i]
         if k is NodeKind.SOURCE:
             if g.source_emergy[i] <= 0:
                 report.append(Violation(
@@ -379,10 +347,10 @@ def validate_graph(g: EmergyGraph) -> list[Violation]:
                 report.append(Violation(
                     "source-degree", i,
                     f"source {i} has {len(out)} successors, needs exactly 1"))
-            if g.predecessors(i):
+            if g.pred[v]:
                 report.append(Violation(
                     "source-pred", i,
-                    f"source {i} has predecessors {list(g.predecessors(i))}"))
+                    f"source {i} has predecessors {[g.nodes[u] for u in g.pred[v]]}"))
         elif k is NodeKind.OUTPUT:
             if out:
                 report.append(Violation(
@@ -429,19 +397,19 @@ class TopoResult(NamedTuple):
 
 
 def topological_order(g: EmergyGraph) -> TopoResult:
-    """The components of `g` (`SearchTable.comp`) as a topological order or
-    a cycle, deterministic by ascending ids. An acyclic graph's order is the
+    """The components `g` derived when it was built (`EmergyGraph.comp`,
+    over `EmergyGraph.options`) as a topological order or a cycle,
+    deterministic by ascending ids. An acyclic graph's order is the
     ids in reverse order of closing. Otherwise the cycle starts at the
     smallest node in a component of several nodes, steps each time to the
     smallest successor in that component and is cut where it first repeats.
     """
-    table = g.search_table
-    ids, comp = table.ids, table.comp
-    if table.acyclic:  # one component per node, numbered as they close
-        return TopoResult(tuple(sorted(ids, key=lambda i: -comp[table.index[i]])), None)
+    ids, comp = g.nodes, g.comp
+    if g.acyclic:  # one component per node, numbered as they close
+        return TopoResult(tuple(sorted(ids, key=lambda i: -comp[g.index[i]])), None)
     # with no self-loops, a node is in a component of several nodes exactly
     # when one of its successors is in its component
-    inside = [[w for w, _, _ in succ if comp[w] == comp[v]] for v, succ in enumerate(table.succ)]
+    inside = [[w for w, _, _ in succ if comp[w] == comp[v]] for v, succ in enumerate(g.options)]
     v = next(v for v, ahead in enumerate(inside) if ahead)
     walk: dict[int, int] = {}  # each node's position in the walk
     while v not in walk:

@@ -62,12 +62,6 @@ class Digraph:
         return (f"Digraph(vertices={self.vertices!r}, arcs={self.arcs!r}, "
                 f"start={self.start!r}, target={self.target!r})")
 
-    def successors(self, v: int) -> tuple[int, ...]:
-        return self.succ[v]
-
-    def out_degree(self, v: int) -> int:
-        return len(self.succ[v])
-
 
 class ReductionInstance(NamedTuple):
     """The emergy instance wrapping a digraph, plus its decoding parameters."""
@@ -185,7 +179,7 @@ def build_reduction(d: Digraph) -> ReductionInstance:
         (a, b): Fraction(1, bound) for a, b in d.arcs}
     arcs[(source, d.start)] = Fraction(1)
     for v in sorted(d.vertices):
-        leftover = 1 - Fraction(d.out_degree(v), bound)
+        leftover = 1 - Fraction(len(d.succ[v]), bound)
         if v == d.target:
             arcs[(v, sink)] = leftover
         else:
@@ -220,7 +214,7 @@ def enumerate_simple_paths(d: Digraph) -> Iterator[tuple[int, ...]]:
     backtracking with successors ascending, so they come out sorted."""
     path = [d.start]
     seen = {d.start}
-    frames = [iter(d.successors(d.start))]
+    frames = [iter(d.succ[d.start])]
     while frames:
         nxt = next(frames[-1], None)
         if nxt is None:
@@ -231,7 +225,7 @@ def enumerate_simple_paths(d: Digraph) -> Iterator[tuple[int, ...]]:
         elif nxt not in seen:
             path.append(nxt)
             seen.add(nxt)
-            frames.append(iter(d.successors(nxt)))
+            frames.append(iter(d.succ[nxt]))
 
 
 def dfs_counts(d: Digraph) -> PathCountVector:

@@ -60,7 +60,7 @@ def enumerate_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> list[EmergyP
             continue
         path = [s]
         seen = {s}
-        frames = [(iter(g.successors(s)), emergy.numerator, emergy.denominator)]
+        frames = [(iter(g.succ[s]), emergy.numerator, emergy.denominator)]
         while frames:
             successors, num, den = frames[-1]
             nxt = next(successors, None)
@@ -78,5 +78,5 @@ def enumerate_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> list[EmergyP
                 continue
             path.append(nxt)
             seen.add(nxt)
-            frames.append((iter(g.successors(nxt)), step_num, step_den))
+            frames.append((iter(g.succ[nxt]), step_num, step_den))
     return results

@@ -17,7 +17,8 @@ path enters a new component the search keeps its entry in a per-node memo
 and reads it back: on an acyclic graph that is every node, visited once.
 Inside a component the search skips the successors already on the current
 path and memoizes nothing, and there its cost stays exponential (counting
-simple paths reduces to this problem, see `empower.hardness`).
+simple paths reduces to this problem, see `empower.hardness`). The search
+reads the index form `EmergyGraph` holds and its `tail_table` per arc tail.
 
 `brute_force_solve` maximizes over all compatible subsets directly and
 exists purely as an oracle for small instances.
@@ -88,13 +89,13 @@ _DEAD = (0, 1, 0, 0)
 class ArcSearch:
     """The solver for one query arc.
 
-    What depends on the graph alone is derived once per graph and kept on
-    it (`EmergyGraph.search_table`): the index form of the nodes, their
-    kinds, the successor options with unpacked weights and the
+    What depends on the graph alone is derived when the graph is built and
+    kept on it: the index form of the nodes (`EmergyGraph.nodes`, `index`),
+    their kinds, the successor options with unpacked weights and the
     predecessors. What depends on the arc tail is derived once per tail and
-    kept there too (`SearchTable.tail_table`): the options into nodes that
-    can reach the tail, and the strongly connected components of the graph
-    they form. Construction keeps the memo, which holds the tail's leaf
+    kept on the graph too (`EmergyGraph.tail_table`): the options into nodes
+    that can reach the tail, and the strongly connected components of the
+    graph they form. Construction keeps the memo, which holds the tail's leaf
     entry and nothing else yet. The search runs on demand, once per start
     node, and all start nodes share the memo. Assumes a valid graph:
     positive weights, sources without predecessors.
@@ -103,20 +104,18 @@ class ArcSearch:
     def __init__(self, g: EmergyGraph, arc: tuple[int, int]):
         self.g = g
         self.tail, self.head = require_arc(g, arc)
-        table = g.search_table
-        self.ids, self.index, self.kinds = table.ids, table.index, table.kinds
-        tail = self.index[self.tail]
+        tail = g.index[self.tail]
         # the search enters only nodes that reach the tail, and stops there
-        self.options, self.comp = table.tail_table(tail)
+        self.options, self.comp = g.tail_table(tail)
         # the entries that do not depend on the path that led to their node:
         # those of the roots and of the nodes entered from another component
-        self.memo: list[tuple | None] = [None] * len(self.ids)
+        self.memo: list[tuple | None] = [None] * len(g.nodes)
         last = g.arcs[self.tail, self.head]
         self.leaf = (last.numerator, last.denominator, 1, 1)
         self.memo[tail] = self.leaf
         # the nodes on the path the search is on, which the path may not
         # enter again; all false between searches
-        self.on_path = [False] * len(self.ids)
+        self.on_path = [False] * len(g.nodes)
         self.frame_count = 0
 
     def entry(self, node: int) -> tuple:
@@ -134,7 +133,7 @@ class ArcSearch:
         passes it through, with the arc weight multiplied in; only a node
         with several branches goes to `_combine`.
         """
-        root = self.index[node]
+        root = self.g.index[node]
         memo = self.memo
         found = memo[root]
         if found is not None:
@@ -192,7 +191,7 @@ class ArcSearch:
         a co-product keeps the first strictly best branch, so ties go to the
         smallest successor id. Branching anywhere else is a structural error.
         """
-        kind, paths, branches = self.kinds[v], 0, iter(kept)
+        kind, paths, branches = self.g.kinds[v], 0, iter(kept)
         if kind is NodeKind.SPLIT:
             num, den, witness = 0, 1, 0
             for (_, w_num, w_den), sub in zip(branches, branches):
@@ -210,7 +209,7 @@ class ArcSearch:
                 if best is None or n * den > num * d:
                     best, num, den = (option, sub), n, d
             return num, den, paths, best[1][3], *best
-        raise ValueError(f"search branches at {kind.value} node {self.ids[v]}")
+        raise ValueError(f"search branches at {kind.value} node {self.g.nodes[v]}")
 
     def expand(self, node: int, root: tuple) -> Iterator[EmergyPath]:
         """The kept paths of `root`, the entry of source `node`, in
@@ -225,7 +224,7 @@ class ArcSearch:
         the flat entry allocates nothing per branch, where pairing it up
         would.
         """
-        ids, leaf, head = self.ids, self.leaf, self.head
+        ids, leaf, head = self.g.nodes, self.leaf, self.head
         scale = self.g.source_emergy[node]
         last_num, last_den = leaf[0], leaf[1]
         if root is leaf:

@@ -46,8 +46,7 @@ def path_value(g: EmergyGraph, path: Sequence[int] | None) -> Fraction:
 def reachability_to_target(g: EmergyGraph, arc: tuple[int, int]) -> frozenset[int]:
     """Nodes with a directed path to the arc tail, the tail included."""
     tail, _ = require_arc(g, arc)
-    table = g.search_table
-    return frozenset(v for v, live in zip(table.ids, table.reaching(table.index[tail])) if live)
+    return frozenset(v for v, live in zip(g.nodes, g.reaching(g.index[tail])) if live)
 
 
 def pairwise_compatible(g: EmergyGraph, paths: Sequence[EmergyPath]) -> bool:
@@ -88,7 +87,7 @@ def oracle_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> list[tuple[int,
         if satisfies_path_definition(g, walk, arc):
             found.append(walk)
         if len(walk) < max_nodes:
-            for nxt in g.successors(walk[-1]):
+            for nxt in g.succ[walk[-1]]:
                 stack.append(walk + (nxt,))
     return sorted(found)
 
@@ -134,7 +133,7 @@ def rooted_simple_paths(g: EmergyGraph, root: int, arc: tuple[int, int]) -> list
         if node == tail:
             found.append(prefix + (head,))
             return
-        for nxt in g.successors(node):
+        for nxt in g.succ[node]:
             if nxt in seen:
                 continue
             seen.add(nxt)

@@ -453,6 +453,20 @@ class TestLongExactValues:
         assert main(["solve", TEXTBOOK, "--arc", "7,8", "--places", "5000"]) == 0
         assert capsys.readouterr().out == f"Em = 350 (350.{'0' * 5000})\n"
 
+    @pytest.mark.parametrize("places", ["100001", str(10 ** 12)])
+    def test_too_many_places_exits_two(self, places, capsys):
+        """Refused while parsing the arguments, before 10**places is built."""
+        with pytest.raises(SystemExit) as caught:
+            main(["solve", TEXTBOOK, "--arc", "7,8", "--places", places])
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("error:") == 1
+        assert "at most 100000 places" in captured.err
+
+    def test_most_places(self, capsys):
+        assert main(["solve", TEXTBOOK, "--arc", "7,8", "--places", "100000"]) == 0
+        assert capsys.readouterr().out == f"Em = 350 (350.{'0' * 100_000})\n"
+
     def test_overlong_number_in_a_file_exits_two(self, tmp_path, capsys):
         f = tmp_path / "long.eg"
         f.write_text("node 1 source " + "7" * 4301 + "\nnode 2 output\narc 1 2 1\n")

@@ -86,7 +86,7 @@ class TestValueTable:
         assert solve_dag(g, (2, 3)) == 7
 
     def test_cyclic_graph_raises(self, textbook):
-        assert not textbook.search_table.acyclic
+        assert not textbook.acyclic
         with pytest.raises(GraphCycleError) as caught:
             solve_dag(textbook, (4, 7))
         cycle = caught.value.cycle

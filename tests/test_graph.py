@@ -21,6 +21,7 @@ from empower.graph import (
     topological_order,
     validate_graph,
 )
+from helpers import emergy_graphs
 
 MINIMAL = "node 1 source 5\nnode 2 output\narc 1 2 1\n"
 
@@ -33,8 +34,32 @@ class TestParse:
         assert textbook.source_emergy[5] == 250
         assert textbook.kind[7] is NodeKind.COPRODUCT
         assert textbook.arcs[(2, 3)] == Fraction(3, 10)
-        assert textbook.successors(8) == (6, 9)
-        assert textbook.predecessors(6) == (5, 8, 10)
+        assert textbook.succ[8] == (6, 9)
+        assert [textbook.nodes[u] for u in textbook.pred[textbook.index[6]]] == [5, 8, 10]
+
+    @given(emergy_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_derived_facts_follow_the_arcs(self, g):
+        """Every fact the graph derives at construction, against `g.arcs` alone."""
+        assert g.nodes == tuple(sorted(g.kind))
+        # each node's successors, grown below to every node it reaches
+        reach = {i: {b for (a, b) in g.arcs if a == i} for i in g.nodes}
+        for i in g.nodes:
+            todo = list(reach[i])
+            while todo:
+                new = reach[todo.pop()] - reach[i]
+                reach[i] |= new
+                todo.extend(new)
+        for v, i in enumerate(g.nodes):
+            out = sorted((b, w) for (a, b), w in g.arcs.items() if a == i)
+            assert g.index[i] == v and g.kinds[v] is g.kind[i]
+            assert g.succ[i] == tuple(b for b, _ in out)
+            assert g.options[v] == [(g.index[b], w.numerator, w.denominator) for b, w in out]
+            assert [g.nodes[u] for u in g.pred[v]] == sorted(a for (a, b) in g.arcs if b == i)
+            for w, j in enumerate(g.nodes):
+                assert (g.comp[v] == g.comp[w]) == (i == j or i in reach[j] and j in reach[i])
+        assert g.acyclic == all(i not in reach[i] for i in g.nodes)
+        assert g.acyclic == (topological_order(g).order is not None)
 
     def test_minimal_instance(self):
         g = parse_graph(MINIMAL)
@@ -271,7 +296,7 @@ class TestTopologicalOrder:
     def test_order_respects_arcs(self, seed):
         g = random_dag(4 + seed % 10, 0.5, seed)
         order = topological_order(g).order
-        assert (order is None) == (not g.search_table.acyclic)
+        assert (order is None) == (not g.acyclic)
         assert order is not None and sorted(order) == list(g.nodes)
         position = {n: k for k, n in enumerate(order)}
         for a, b in g.arcs:
@@ -282,7 +307,7 @@ class TestTopologicalOrder:
     def test_cycle_witness_is_a_cycle(self, seed):
         g = random_cyclic(6 + seed % 6, 0.5, 1 + seed % 2, seed)
         result = topological_order(g)
-        assert (result.order is None) == (not g.search_table.acyclic)
+        assert (result.order is None) == (not g.acyclic)
         if result.cycle is None:
             return  # a back arc does not always close a cycle
         cycle = result.cycle

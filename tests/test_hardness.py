@@ -54,8 +54,8 @@ class TestDigraph:
 
     def test_adjacency(self):
         d = digraph(4, {(1, 3), (1, 2), (3, 4), (1, 4)})
-        assert [d.successors(v) for v in (1, 2, 3, 4)] == [(2, 3, 4), (), (4,), ()]
-        assert [d.out_degree(v) for v in (1, 2, 3, 4)] == [3, 0, 1, 0]
+        assert [d.succ[v] for v in (1, 2, 3, 4)] == [(2, 3, 4), (), (4,), ()]
+        assert [len(d.succ[v]) for v in (1, 2, 3, 4)] == [3, 0, 1, 0]
 
     def test_parse_round_trip(self):
         text = serialize_digraph(TRIANGLE)

@@ -134,10 +134,10 @@ class TestConcat:
         rng = random.Random(seed)
         for _ in range(20):
             # random arc walk, cut anywhere; the tail piece never starts at a source
-            node = rng.choice([n for n in g.nodes if g.successors(n)])
+            node = rng.choice([n for n in g.nodes if g.succ[n]])
             walk = [node]
-            while g.successors(walk[-1]) and len(walk) < 8:
-                walk.append(rng.choice(g.successors(walk[-1])))
+            while g.succ[walk[-1]] and len(walk) < 8:
+                walk.append(rng.choice(g.succ[walk[-1]]))
             if len(walk) < 3:
                 continue
             cut = rng.randrange(1, len(walk) - 1)

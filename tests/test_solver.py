@@ -318,7 +318,7 @@ class TestAgainstOracles:
         except ValueError:
             pass
         for g in graphs:
-            if g.search_table.acyclic:
+            if g.acyclic:
                 continue
             for arc in sorted(g.arcs):
                 search = ArcSearch(g, arc)
@@ -390,9 +390,10 @@ class TestPerGraphTables:
         lambda: diamond_chain_into_cycle(6)[0]],
         ids=["textbook", "random-cyclic", "reduction", "diamond-chain-into-cycle"])
     def test_one_topological_order_per_graph(self, make, monkeypatch):
-        """One structural pass (`components`) over the whole graph and one
-        per arc tail, and no topological order, with every arc solved twice;
-        the answers and stats are those of a freshly parsed graph."""
+        """Construction makes the one structural pass (`components`) over
+        the whole graph; solving every arc twice adds one per arc tail and
+        no topological order. The answers and stats are those of a freshly
+        parsed graph."""
         calls, tables = [], []
 
         def counted(g):
@@ -403,15 +404,16 @@ class TestPerGraphTables:
             tables.append(options)
             return components(options)
 
+        made = make()
         monkeypatch.setattr(empower.graph, "topological_order", counted)
         monkeypatch.setattr(empower.graph, "components", counted_components)
-        g = make()
+        g = EmergyGraph(made.kind, made.source_emergy, made.arcs)
+        assert len(tables) == 1 and tables[0] is g.options
         arcs = sorted(g.arcs) * 2
         shared = [solve_general(g, arc) for arc in arcs]
         assert calls == []
-        tails = {g.search_table.index[tail] for tail, _ in arcs}
-        assert len(tables) == 1 + len(tails) and set(g.search_table.tails) == tails
-        assert tables[0] is g.search_table.succ
+        tails = {g.index[tail] for tail, _ in arcs}
+        assert len(tables) == 1 + len(tails) and set(g.tails) == tails
         text = serialize_graph(g)
         for arc, result in zip(arcs, shared):
             fresh = solve_general(parse_graph(text), arc)
