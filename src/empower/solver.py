@@ -15,10 +15,12 @@ only through the on-path nodes it can reach, and those all lie in its
 strongly connected component of the graph the search walks. So where the
 path enters a new component the search keeps its entry in a per-node memo
 and reads it back: on an acyclic graph that is every node, visited once.
-Inside a component the search skips the successors already on the current
-path and memoizes nothing, and there its cost stays exponential (counting
-simple paths reduces to this problem, see `empower.hardness`). The search
-reads the index form `EmergyGraph` holds and its `tail_table` per arc tail.
+Inside a component the search memoizes nothing. It skips the successors
+on the current path, and those it found dead (with no way on to the arc)
+while the path they were found under stands. Its cost there stays
+exponential (counting simple paths reduces to this problem, see
+`empower.hardness`). The search reads the index form `EmergyGraph` holds
+and its `tail_table` per arc tail.
 
 `brute_force_solve` maximizes over all compatible subsets directly and
 exists purely as an oracle for small instances.
@@ -46,7 +48,8 @@ class SolveStats(NamedTuple):
     """What a solve did: emergy paths of the arc, witness paths, and the
     search's frames: one per node entered from another strongly connected
     component, which the memo then holds, and one per path prefix entered
-    inside a component. On an acyclic graph that is one per memo entry."""
+    inside a component, where a node found dead is not entered again while
+    its path stands. On an acyclic graph that is one per memo entry."""
 
     path_count: int
     witness_count: int
@@ -113,8 +116,9 @@ class ArcSearch:
         last = g.arcs[self.tail, self.head]
         self.leaf = (last.numerator, last.denominator, 1, 1)
         self.memo[tail] = self.leaf
-        # the nodes on the path the search is on, which the path may not
-        # enter again; all false between searches
+        # the nodes the path may not enter: those on it and those found dead
+        # while their path stands (see `entry`); between searches, those left
+        # are dead on every path
         self.on_path = [False] * len(g.nodes)
         self.frame_count = 0
 
@@ -132,6 +136,15 @@ class ArcSearch:
         A node with no live branch is dead and one with a single branch
         passes it through, with the arc weight multiplied in; only a node
         with several branches goes to `_combine`.
+
+        A dead node stays closed, on `on_path` and on the list `dead`, and a
+        frame that pops live reopens its node and every node found dead
+        since its push. A node found dead while frame f is on the stack has
+        no way on to the tail that avoids the path. If f pops dead, that
+        still holds for f's parent: a way on either avoids f, and was cut
+        already, or passes through f, which is dead too. If f pops live, its
+        marks may have depended on f, so they go. What a root leaves closed
+        is dead on every path, so nothing is cleared between searches.
         """
         root = self.g.index[node]
         memo = self.memo
@@ -141,38 +154,45 @@ class ArcSearch:
         options, comp, on_path = self.options, self.comp, self.on_path
         combine = self._combine
         on_path[root] = True
+        dead = []
         # a frame is (node, its component, its options not yet tried, kept
-        # branches flat, the option leading to it)
-        frames = [(root, comp[root], iter(options[root]), [], None)]
+        # branches flat, the option leading to it, len(dead) at its push)
+        frames = [(root, comp[root], iter(options[root]), [], None, 0)]
         count = 1
         while True:
-            v, here, untried, kept, via = frames[-1]
+            v, here, untried, kept, via, marks = frames[-1]
             for option in untried:
                 w = option[0]
                 there = comp[w]
                 if there != here:
-                    # a node of another component is never on the path
                     sub = memo[w]
                     if sub is not None:
                         if sub[2]:
                             kept += option, sub
                         continue
-                elif on_path[w]:
+                # a node of another component is closed only when found dead
+                if on_path[w]:
                     continue
                 on_path[w] = True
-                frames.append((w, there, iter(options[w]), [], option))
+                frames.append((w, there, iter(options[w]), [], option, len(dead)))
                 count += 1
                 break
             else:
                 frames.pop()
-                on_path[v] = False
                 if not kept:
                     result = _DEAD
-                elif len(kept) == 2:
-                    (_, w_num, w_den), sub = kept
-                    result = (w_num * sub[0], w_den * sub[1], sub[2], sub[3], *kept)
+                    dead.append(v)
                 else:
-                    result = combine(v, kept)
+                    on_path[v] = False
+                    if len(dead) > marks:
+                        for x in dead[marks:]:
+                            on_path[x] = False
+                        del dead[marks:]
+                    if len(kept) == 2:
+                        (_, w_num, w_den), sub = kept
+                        result = (w_num * sub[0], w_den * sub[1], sub[2], sub[3], *kept)
+                    else:
+                        result = combine(v, kept)
                 if not frames:
                     memo[v] = result
                     self.frame_count += count
@@ -219,50 +239,59 @@ class ArcSearch:
         leaf; path values are carried as an integer numerator and
         denominator and become one `Fraction` per distinct unreduced value
         in a row: a path whose product equals the previous path's shares
-        its `Fraction` (every path of a diamond chain does). A frame is
-        [entry, index of its next branch, numerator, denominator]: indexing
-        the flat entry allocates nothing per branch, where pairing it up
-        would.
+        its `Fraction` (every path of a diamond chain does). An entry with
+        one kept branch is followed inline; only a split with several kept
+        branches gets a frame, [entry, index of its next branch, numerator,
+        denominator, path length], and moving to its next branch replaces
+        the path's tail in one slice assignment.
         """
+        if not root[2]:
+            return
         ids, leaf, head = self.g.nodes, self.leaf, self.head
+        # builds the named tuple without its Python-level constructor call
+        new = tuple.__new__
         scale = self.g.source_emergy[node]
         last_num, last_den = leaf[0], leaf[1]
-        if root is leaf:
-            yield EmergyPath((node, head), Fraction(scale.numerator * last_num,
-                                                    scale.denominator * last_den))
-            return
-        path = [node]
-        frames = [[root, 4, scale.numerator, scale.denominator]]
+        path, frames = [node], []
+        entry, num, den = root, scale.numerator, scale.denominator
         seen_num = seen_den = value = None
-        while frames:
+        while True:
+            while entry is not leaf:
+                if len(entry) > 6:
+                    frames.append([entry, 6, num, den, len(path)])
+                (w, w_num, w_den), entry = entry[4], entry[5]
+                path.append(ids[w])
+                num *= w_num
+                den *= w_den
+            n, d = num * last_num, den * last_den
+            if n != seen_num or d != seen_den:
+                seen_num, seen_den, value = n, d, Fraction(n, d)
+            yield new(EmergyPath, ((*path, head), value))
+            if not frames:
+                return
             frame = frames[-1]
-            entry, i, num, den = frame
-            while i < len(entry):
-                (w, w_num, w_den), sub = entry[i], entry[i + 1]
-                i += 2
-                if sub is leaf:
-                    n, d = num * w_num * last_num, den * w_den * last_den
-                    if n != seen_num or d != seen_den:
-                        seen_num, seen_den, value = n, d, Fraction(n, d)
-                    yield EmergyPath((*path, ids[w], head), value)
-                else:
-                    frame[1] = i
-                    path.append(ids[w])
-                    frames.append([sub, 4, num * w_num, den * w_den])
-                    break
+            split, i, num, den, length = frame
+            if i + 2 < len(split):
+                frame[1] = i + 2
             else:
                 frames.pop()
-                path.pop()
+            (w, w_num, w_den), entry = split[i], split[i + 1]
+            path[length:] = (ids[w],)
+            num *= w_num
+            den *= w_den
 
     def solve(self) -> SolveResult:
         """Solve from every source, ascending; the witness stays unexpanded
-        until asked for."""
-        value, paths, witness = Fraction(0), 0, 0
+        until asked for. The total is summed as an unreduced integer pair
+        and becomes one `Fraction` at the end."""
+        num, den, paths, witness = 0, 1, 0, 0
         roots = []
         for s in self.g.sources:
             entry = self.entry(s)
             if entry[2]:
-                value += self.g.source_emergy[s] * Fraction(entry[0], entry[1])
+                scale = self.g.source_emergy[s]
+                n, d = scale.numerator * entry[0], scale.denominator * entry[1]
+                num, den = num * d + n * den, den * d
                 paths += entry[2]
                 witness += entry[3]
                 roots.append((s, entry))
@@ -272,7 +301,7 @@ class ArcSearch:
             for s, entry in roots:
                 yield from self.expand(s, entry)
 
-        return SolveResult(value, stats, expand)
+        return SolveResult(Fraction(num, den), stats, expand)
 
 
 def solve_general(g: EmergyGraph, arc: tuple[int, int]) -> SolveResult:

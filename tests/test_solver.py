@@ -269,6 +269,17 @@ class TestSolveGeneral:
                 assert result.value == values[arc]
                 assert result.stats.path_count == result.stats.witness_count == 2 ** 16
 
+    def test_dead_nodes_stay_closed_while_their_path_stands(self):
+        """Under the prefix 1 -> 2, nodes 4 and 5 only lead back to 2: the
+        branch 2 -> 4 enters 4 and 5 and finds them dead, and the branch
+        2 -> 5 must not enter 5 (and 4 below it) again."""
+        g, arc = random_cyclic(7, 0.5, 2, 127), (3, 6)
+        assert {(2, 4), (2, 5), (4, 2), (4, 5), (5, 4)} <= g.arcs.keys()
+        result = solve_general(g, arc)
+        value, witness, _ = trie_solve(g, arc)
+        assert (result.value, result.witness.paths) == (value, witness)
+        assert result.stats.tree_nodes == 4
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_no_split_graphs_sum_reaching_sources(self, seed):
@@ -346,6 +357,21 @@ class TestAgainstOracles:
         assert result.value == Fraction(7, 3)
         assert [p.nodes for p in result.witness.paths] == [tuple(range(1, 3001))]
         assert [p.nodes for p in enumerate_emergy_paths(g, arc)] == [tuple(range(1, 3001))]
+
+    @given(emergy_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_shared_search_matches_fresh_searches(self, g):
+        """Nodes a search leaves closed never change a later entry of the
+        same search: entering every node in turn on one `ArcSearch`, as
+        `search_value_table` does, gives what a fresh search gives."""
+        for arc in sorted(g.arcs):
+            shared = ArcSearch(g, arc)
+            for i in g.nodes:
+                fresh = ArcSearch(g, arc)
+                got, want = shared.entry(i), fresh.entry(i)
+                assert got[:4] == want[:4]
+                if i in g.source_emergy:
+                    assert list(shared.expand(i, got)) == list(fresh.expand(i, want))
 
     @given(emergy_graphs())
     @settings(max_examples=80, deadline=None)
