@@ -11,12 +11,6 @@ repeat. Medians and quartiles go to stdout and, with the Python version,
 platform and CPU count, to BENCH_<suite>.json at the repository root. The
 suites:
 
-- `cli-startup` (15 repeats): the CPU time (user plus system, from the
-  rusage of the finished child, steadier on a shared host than wall time) of
-  each command as `python -m empower.cli ...`, next to `python -c pass`. Each
-  side's package is copied twice: `compiled` never gets a bytecode cache, as
-  `perfbench/` runs from a fresh checkout; `cached` has the bytecode of one
-  earlier run of each command. Every command must exit 0.
 - `count-paths` (5 repeats): one process per instance times by wall clock
   one call each of `build_reduction`, `solve_general` on the wrapped
   instance, `decode_counts` on its value and `count_simple_paths(d, "dfs")`,
@@ -50,7 +44,6 @@ import contextlib
 import json
 import os
 import platform
-import resource
 import shutil
 import signal
 import statistics
@@ -63,21 +56,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
-DIGRAPH = "vertex 1\nvertex 2\nvertex 3\nvertex 4\n" \
-          "edge 1 2\nedge 2 3\nedge 1 3\nedge 3 4\nedge 2 4\nstart 1\ntarget 4\n"
-
-# label -> arguments; TEXTBOOK and DIGRAPH stand for the input files
-COMMANDS = {
-    "solve": ["solve", "TEXTBOOK", "--arc", "7,8"],
-    "solve-4,7-state": ["solve", "TEXTBOOK", "--arc", "4,7", "--state"],
-    "validate": ["validate", "TEXTBOOK"],
-    "paths": ["paths", "TEXTBOOK", "--arc", "4,7"],
-    "check-cograph": ["check-cograph", "TEXTBOOK", "--arc", "4,7"],
-    "count-paths": ["count-paths", "DIGRAPH"],
-    "gen": ["gen", "--family", "random-dag", "--nodes", "12", "--seed", "1"],
-}
-STATES = ("compiled", "cached")
-
 INSTANCES = {
     "line-100": "line digraph 1 -> 2 -> ... -> 100, start 1, target 100",
     "line-200": "line digraph 1 -> 2 -> ... -> 200, start 1, target 200",
@@ -87,12 +65,11 @@ INSTANCES = {
 STAGES = ("build_reduction", "solve_general", "decode_counts", "dfs_count")
 
 
-def run(argv: list[str], pythonpath: Path, write_bytecode: bool = False) -> tuple[float, str]:
-    """CPU time in ms and stdout of one child process, which must exit 0."""
+def run(argv: list[str], pythonpath: Path, write_bytecode: bool = False) -> str:
+    """The stdout of one child process, which must exit 0."""
     env = dict(os.environ, PYTHONPATH=str(pythonpath), PYTHONDONTWRITEBYTECODE="1")
     if write_bytecode:
         del env["PYTHONDONTWRITEBYTECODE"]
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.Popen(argv, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, start_new_session=True)
     try:
@@ -102,10 +79,9 @@ def run(argv: list[str], pythonpath: Path, write_bytecode: bool = False) -> tupl
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
         raise
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} under {pythonpath} failed:\n{stderr}")
-    return (after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime) * 1000, stdout
+    return stdout
 
 
 def rotated(items: list, r: int) -> list:
@@ -125,54 +101,6 @@ def table(corner: str, columns: list[str], rows: dict[str, list[float]]) -> None
     print(f"{corner:<{width}}" + "".join(f"{c:>22}" for c in columns))
     for label, values in rows.items():
         print(f"{label:<{width}}" + "".join(f"{v:>22.4g}" for v in values))
-
-
-def cli_startup(sides: dict[str, Path], repeats: int) -> dict:
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        inputs = {"DIGRAPH": tmp / "input.dg", "TEXTBOOK": tmp / "textbook.eg"}
-        inputs["DIGRAPH"].write_text(DIGRAPH)
-        shutil.copy(next(iter(sides.values())) / "empower" / "data" / "textbook.eg",
-                    inputs["TEXTBOOK"])
-        commands = {label: [sys.executable, "-m", "empower.cli",
-                            *(str(inputs.get(a, a)) for a in argv)]
-                    for label, argv in COMMANDS.items()}
-        runs = []  # (side, state, pythonpath)
-        for i, (name, src) in enumerate(sides.items()):
-            for state in STATES:
-                home = tmp / f"{i}-{state}"
-                shutil.copytree(src / "empower", home / "empower",
-                                ignore=shutil.ignore_patterns("__pycache__"))
-                runs.append((name, state, home))
-                if state == "cached":
-                    for argv in commands.values():
-                        run(argv, home, write_bytecode=True)
-
-        floor: list[float] = []
-        samples = {(name, state, label): [] for name, state, _ in runs for label in commands}
-        for r in range(repeats):
-            floor.append(run([sys.executable, "-c", "pass"], tmp)[0])
-            for name, state, home in rotated(runs, r):
-                for label, argv in commands.items():
-                    samples[name, state, label].append(run(argv, home)[0])
-
-    results = {name: {state: {label: summary(samples[name, state, label]) for label in commands}
-                      for state in STATES}
-               for name in sides}
-    print(f"python -c pass: {summary(floor)['median']:.1f} ms (median of {repeats})")
-    table("command", [f"{name} {state}" for name in sides for state in STATES],
-          {label: [results[name][state][label]["median"] for name in sides for state in STATES]
-           for label in commands})
-    return {
-        "metric": "child CPU time (user + system) of one process, ms: median and quartiles",
-        "repeats": repeats,
-        "commands": {label: "empower " + " ".join(argv) for label, argv in COMMANDS.items()},
-        "inputs": {"TEXTBOOK": "empower/data/textbook.eg", "DIGRAPH": DIGRAPH},
-        "states": {"compiled": "no bytecode cache: every process compiles the package",
-                   "cached": "bytecode written by an earlier run of each command"},
-        "floor_python_c_pass": summary(floor),
-        "results": results,
-    }
 
 
 def count_paths_child(label: str) -> None:
@@ -217,7 +145,7 @@ def count_paths(sides: dict[str, Path], repeats: int) -> dict:
         for name in rotated(list(sides), r):
             for label in INSTANCES:
                 stdout = run([sys.executable, __file__, "count-paths", "--child", label],
-                             sides[name])[1]
+                             sides[name])
                 out = json.loads(stdout.splitlines()[-1])
                 if out["decoded"] != out["dfs"]:
                     raise SystemExit(f"{label} under {sides[name]}: reduction decoded "
@@ -275,7 +203,7 @@ def perfbench(workload: str, sides: dict[str, Path], repeats: int) -> dict:
                 stdout = run([sys.executable, str(trees[name] / "perfbench" / "run.py"),
                               "--workload", workload, "--seed", str(seed),
                               "--seconds", str(seconds)],
-                             trees[name] / "src", write_bytecode=True)[1]
+                             trees[name] / "src", write_bytecode=True)
                 record, out = map(json.loads, stdout.splitlines()[-2:])
                 if not out["correct"]:
                     raise SystemExit(f"{workload} seed {seed} under {sides[name]}: "
@@ -318,7 +246,7 @@ def perfbench(workload: str, sides: dict[str, Path], repeats: int) -> dict:
 
 
 # suite -> (function, default repeats)
-SUITES = {"cli-startup": (cli_startup, 15), "count-paths": (count_paths, 5),
+SUITES = {"count-paths": (count_paths, 5),
           **{w["name"]: (partial(perfbench, w["name"]), 10) for w in BENCHMARK["workloads"]}}
 
 
@@ -333,7 +261,7 @@ def main() -> None:
     parser.add_argument("--src", action="append", metavar="[NAME=]DIR",
                         help="a directory holding the empower package; repeat to compare")
     parser.add_argument("--repeats", type=int,
-                        help="15 for cli-startup, 5 for count-paths, 10 for a perfbench workload")
+                        help="5 for count-paths, 10 for a perfbench workload")
     parser.add_argument("--child", choices=INSTANCES, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:

@@ -120,10 +120,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_paths(args) -> int:
-    from .paths import enumerate_emergy_paths
+    from .paths import iter_emergy_paths
 
     g = _load(args)
-    for p in enumerate_emergy_paths(g, args.arc):
+    for p in iter_emergy_paths(g, args.arc):
         if args.format == "records":
             print(f"path nodes={p} source={p.source} arcs={p.arc_count} value={p.value}")
         else:

@@ -9,7 +9,7 @@ is the product of its arc weights times the emergy of its source.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .graph import EmergyGraph, require_arc
 
@@ -36,27 +36,33 @@ class EmergyPath(NamedTuple):
 def enumerate_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> list[EmergyPath]:
     """All emergy paths ending with `arc`, sorted lexicographically.
 
+    This is the plain enumeration the compatibility graph and the
+    brute-force oracle are built on; `solve_general` never materialises
+    the paths. Returns an empty list when no source reaches the arc.
+    """
+    return list(iter_emergy_paths(g, arc))
+
+
+def iter_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> Iterator[EmergyPath]:
+    """The emergy paths ending with `arc`, yielded one at a time in
+    lexicographic order, so a listing holds one path at a time.
+
     Runs an iterative backtracking search from each source in ascending id
     order, expanding successors ascending, so the output order is the
     lexicographic order of the node sequences. A branch completes exactly
     when it reaches the arc tail; the head is then appended without a visited
     check, which is the one permitted repetition. Path values are carried as
     an integer numerator and denominator and become one `Fraction` per path.
-
-    This is the plain enumeration the compatibility graph and the
-    brute-force oracle are built on; `solve_general` never materialises
-    the paths. Assumes a valid graph (sources have no predecessors, so
-    interior nodes are never sources). Returns an empty list when no source
-    reaches the arc.
+    Assumes a valid graph (sources have no predecessors, so interior nodes
+    are never sources). An unknown arc raises on the first `next`.
     """
     tail, head = require_arc(g, arc)
     arc_weight = g.arcs[(tail, head)]
     last_num, last_den = arc_weight.numerator, arc_weight.denominator
-    results: list[EmergyPath] = []
     for s in g.sources:
         emergy = g.source_emergy[s]
         if s == tail:
-            results.append(EmergyPath((s, head), emergy * arc_weight))
+            yield EmergyPath((s, head), emergy * arc_weight)
             continue
         path = [s]
         seen = {s}
@@ -74,9 +80,8 @@ def enumerate_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> list[EmergyP
             step_num, step_den = num * weight.numerator, den * weight.denominator
             if nxt == tail:
                 value = Fraction(step_num * last_num, step_den * last_den)
-                results.append(EmergyPath((*path, tail, head), value))
+                yield EmergyPath((*path, tail, head), value)
                 continue
             path.append(nxt)
             seen.add(nxt)
             frames.append((iter(g.succ[nxt]), step_num, step_den))
-    return results

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +18,7 @@ from empower.fixtures import TEXTBOOK_NOTICE, textbook_path
 from empower.generators import diamond_chain, random_digraph
 from empower.graph import parse_graph, serialize_graph, validate_graph
 from empower.hardness import parse_digraph
+from empower.paths import enumerate_emergy_paths
 
 TEXTBOOK = str(textbook_path())
 
@@ -295,6 +298,18 @@ class TestPathsCommand:
 
     def test_bad_arc_exits_two(self):
         assert main(["paths", TEXTBOOK, "--arc", "4,9"]) == 2
+
+    def test_listing_streams(self, textbook, monkeypatch, capsys):
+        """The listing is printed as the walk finds it, never held whole."""
+        expected = "".join(f"path nodes={p} source={p.source} arcs={p.arc_count} value={p.value}\n"
+                           for p in enumerate_emergy_paths(textbook, (4, 7)))
+
+        def refuse_listing(*args):
+            raise AssertionError("enumerate_emergy_paths called")
+
+        monkeypatch.setattr("empower.paths.enumerate_emergy_paths", refuse_listing)
+        assert main(["paths", TEXTBOOK, "--arc", "4,7", "--format", "records"]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestCheckCographCommand:
@@ -583,7 +598,7 @@ def modules_loaded_by(argv: list[str]) -> set[str]:
     return set(proc.stdout.splitlines()[-1].split())
 
 
-# the commands `scripts/bench.py cli-startup` times; DIGRAPH stands for a digraph file
+# every command once; DIGRAPH stands for a digraph file
 MODULE_COMMANDS = {
     "solve": ["solve", TEXTBOOK, "--arc", "7,8"],
     "solve-4,7-state": ["solve", TEXTBOOK, "--arc", "4,7", "--state"],
@@ -607,6 +622,14 @@ def test_counting_demo_agrees():
     demo = Path(__file__).parents[1] / "scripts" / "counting_demo.py"
     proc = run_fresh([str(demo), "--vertices", "5", "--seed", "3"])
     assert proc.stdout.splitlines()[-1].endswith("(AGREE)")
+
+
+def test_bench_script_offers_count_paths_and_the_workloads():
+    root = Path(__file__).parents[1]
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    proc = run_fresh([str(root / "scripts" / "bench.py"), "--help"])
+    suites = re.search(r"\{(.*?)\}", proc.stdout).group(1).split(",")
+    assert suites == ["count-paths", *(w["name"] for w in benchmark["workloads"])]
 
 
 class TestStartupImports:
