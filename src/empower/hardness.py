@@ -5,11 +5,12 @@ empower query: wrap the digraph in an emergy instance where every original
 vertex is a split, every original arc carries weight 1/B for a bound B on
 the number of simple paths, and leak the remaining weight of each vertex to
 a drain output. With no co-products present, every set of emergy paths is
-compatible, so the returned value is the plain sum over all paths, and a
-path with i arcs contributes exactly (exit weight)/B^(i-2). Dividing out the
-exit weight leaves a number whose base-B digits are the per-length path
-counts, read by integer division once one power of B makes it an integer;
-a direct backtracking counter serves as the independent cross-check.
+compatible, so the optimum is the plain sum over all paths. The search
+toward the target vertex, the query arc's tail, gives that sum without the
+exit weight: a path with i arcs contributes exactly 1/B^(i-2). Its base-B
+digits are the per-length path counts, read by integer division once one
+power of B makes it an integer; a direct backtracking counter serves as
+the independent cross-check.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .graph import EmergyGraph, NodeKind, ParseError, parse_id, tokenize
-from .solver import solve_general
+from .solver import TailSearch
 
 
 class Digraph:
@@ -237,15 +238,15 @@ def dfs_counts(d: Digraph) -> PathCountVector:
 
 
 def reduction_counts(d: Digraph) -> PathCountVector:
-    """Solve the wrapped instance and decode the digits.
+    """Search the wrapped instance toward the target vertex and decode the
+    digits of the source's value (its emergy is 1): no exit weight comes in.
 
     The length-2 digit is always zero (the shortest wrapped path has three
     arcs) and is asserted, not skipped.
     """
     inst = build_reduction(d)
-    empower = solve_general(inst.graph, inst.target_arc).value
-    exit_weight = inst.graph.arcs[inst.target_arc]
-    vector = decode_counts(empower / exit_weight, inst.bound, len(d.vertices) + 1)
+    num, den = TailSearch(inst.graph, d.target).entry(inst.source)[:2]
+    vector = decode_counts(Fraction(num, den), inst.bound, len(d.vertices) + 1)
     assert vector.count(2) == 0, "a wrapped path needs at least three arcs"
     return vector
 

@@ -16,11 +16,17 @@ strongly connected component of the graph the search walks. So where the
 path enters a new component the search keeps its entry in a per-node memo
 and reads it back: on an acyclic graph that is every node, visited once.
 Inside a component the search memoizes nothing. It skips the successors
-on the current path, and those it found dead (with no way on to the arc)
+on the current path, and those it found dead (with no way on to the tail)
 while the path they were found under stands. Its cost there stays
 exponential (counting simple paths reduces to this problem, see
 `empower.hardness`). The search reads the index form `EmergyGraph` holds
 and its `tail_table` per arc tail.
+
+The search is keyed on the arc tail alone. An emergy path of arc (t, h) is
+a simple path from a source to t followed by h, so the head never changes
+what is compatible, and its weight, a positive factor common to every
+path, changes no comparison and no tie: `solve_general` multiplies the
+tail's total by w(t, h) once and appends h to each witness path.
 
 `brute_force_solve` maximizes over all compatible subsets directly and
 exists purely as an oracle for small instances.
@@ -81,41 +87,37 @@ class SolveResult:
 # witness paths, option, entry, option, entry, ...): each kept branch is an
 # option, (successor index, arc weight numerator, its denominator), followed
 # by the successor's entry. Values are relative to the entry's node: products
-# of the arc weights below it, summed over the kept paths. Products stay
-# unreduced and only sums are reduced, so the search builds no `Fraction`,
-# which costs more per step than the arithmetic. The tuple is flat because
-# inside a strongly connected component the search keeps an entry per path
-# prefix, and the garbage collector walks every container that stays alive.
+# of the arc weights from it down to the tail, summed over the kept paths;
+# the tail's own entry is `_UNIT`. Products stay unreduced and only sums are
+# reduced, so the search builds no `Fraction`, which costs more per step than
+# the arithmetic. The tuple is flat because inside a strongly connected
+# component the search keeps an entry per path prefix, and the garbage
+# collector walks every container that stays alive.
+_UNIT = (1, 1, 1, 1)
 _DEAD = (0, 1, 0, 0)
 
 
-class ArcSearch:
-    """The solver for one query arc.
+class TailSearch:
+    """The path search toward one arc tail. It never reads an arc's head or
+    weight, so its entries serve every arc out of the tail alike.
 
-    What depends on the graph alone is derived when the graph is built and
-    kept on it: the index form of the nodes (`EmergyGraph.nodes`, `index`),
-    their kinds, the successor options with unpacked weights and the
-    predecessors. What depends on the arc tail is derived once per tail and
-    kept on the graph too (`EmergyGraph.tail_table`): the options into nodes
-    that can reach the tail, and the strongly connected components of the
-    graph they form. Construction keeps the memo, which holds the tail's leaf
-    entry and nothing else yet. The search runs on demand, once per start
-    node, and all start nodes share the memo. Assumes a valid graph:
+    It walks the tail's table (`EmergyGraph.tail_table`): the options into
+    nodes that can reach the tail, and the strongly connected components of
+    the graph they form. Construction keeps the memo, which holds the tail's
+    unit entry and nothing else yet. The search runs on demand, once per
+    start node, and all start nodes share the memo. Assumes a valid graph:
     positive weights, sources without predecessors.
     """
 
-    def __init__(self, g: EmergyGraph, arc: tuple[int, int]):
+    def __init__(self, g: EmergyGraph, tail: int):
         self.g = g
-        self.tail, self.head = require_arc(g, arc)
-        tail = g.index[self.tail]
+        tail = g.index[tail]
         # the search enters only nodes that reach the tail, and stops there
         self.options, self.comp = g.tail_table(tail)
         # the entries that do not depend on the path that led to their node:
         # those of the roots and of the nodes entered from another component
         self.memo: list[tuple | None] = [None] * len(g.nodes)
-        last = g.arcs[self.tail, self.head]
-        self.leaf = (last.numerator, last.denominator, 1, 1)
-        self.memo[tail] = self.leaf
+        self.memo[tail] = _UNIT
         # the nodes the path may not enter: those on it and those found dead
         # while their path stands (see `entry`); between searches, those left
         # are dead on every path
@@ -132,7 +134,7 @@ class ArcSearch:
         led to it: an on-path node that w could reach would close a cycle
         through the node the path entered w from, putting that node in w's
         component, which it is not in. The tail is a component of its own,
-        so its entry, the leaf, is always found.
+        so its entry, `_UNIT`, is always found.
         A node with no live branch is dead and one with a single branch
         passes it through, with the arc weight multiplied in; only a node
         with several branches goes to `_combine`.
@@ -231,12 +233,13 @@ class ArcSearch:
             return num, den, paths, best[1][3], *best
         raise ValueError(f"search branches at {kind.value} node {self.g.nodes[v]}")
 
-    def expand(self, node: int, root: tuple) -> Iterator[EmergyPath]:
+    def expand(self, node: int, root: tuple, num: int, den: int, head: int) -> Iterator[EmergyPath]:
         """The kept paths of `root`, the entry of source `node`, in
-        lexicographic order.
+        lexicographic order, valued from `num`/`den`, the source's emergy
+        times the weight of the arc into `head`, and each followed by `head`.
 
-        The current path lives on one list and becomes a tuple only at a
-        leaf; path values are carried as an integer numerator and
+        The current path lives on one list and becomes a tuple only at the
+        tail; path values are carried as an integer numerator and
         denominator and become one `Fraction` per distinct unreduced value
         in a row: a path whose product equals the previous path's shares
         its `Fraction` (every path of a diamond chain does). An entry with
@@ -247,25 +250,21 @@ class ArcSearch:
         """
         if not root[2]:
             return
-        ids, leaf, head = self.g.nodes, self.leaf, self.head
+        ids = self.g.nodes
         # builds the named tuple without its Python-level constructor call
         new = tuple.__new__
-        scale = self.g.source_emergy[node]
-        last_num, last_den = leaf[0], leaf[1]
-        path, frames = [node], []
-        entry, num, den = root, scale.numerator, scale.denominator
+        path, frames, entry = [node], [], root
         seen_num = seen_den = value = None
         while True:
-            while entry is not leaf:
+            while entry is not _UNIT:
                 if len(entry) > 6:
                     frames.append([entry, 6, num, den, len(path)])
                 (w, w_num, w_den), entry = entry[4], entry[5]
                 path.append(ids[w])
                 num *= w_num
                 den *= w_den
-            n, d = num * last_num, den * last_den
-            if n != seen_num or d != seen_den:
-                seen_num, seen_den, value = n, d, Fraction(n, d)
+            if num != seen_num or den != seen_den:
+                seen_num, seen_den, value = num, den, Fraction(num, den)
             yield new(EmergyPath, ((*path, head), value))
             if not frames:
                 return
@@ -280,37 +279,35 @@ class ArcSearch:
             num *= w_num
             den *= w_den
 
-    def solve(self) -> SolveResult:
-        """Solve from every source, ascending; the witness stays unexpanded
-        until asked for. The total is summed as an unreduced integer pair
-        and becomes one `Fraction` at the end."""
-        num, den, paths, witness = 0, 1, 0, 0
-        roots = []
-        for s in self.g.sources:
-            entry = self.entry(s)
-            if entry[2]:
-                scale = self.g.source_emergy[s]
-                n, d = scale.numerator * entry[0], scale.denominator * entry[1]
-                num, den = num * d + n * den, den * d
-                paths += entry[2]
-                witness += entry[3]
-                roots.append((s, entry))
-        stats = SolveStats(paths, witness, self.frame_count)
-
-        def expand() -> Iterator[EmergyPath]:
-            for s, entry in roots:
-                yield from self.expand(s, entry)
-
-        return SolveResult(Fraction(num, den), stats, expand)
-
 
 def solve_general(g: EmergyGraph, arc: tuple[int, int]) -> SolveResult:
-    """Maximum empower of `arc` by one path search per source, memoized
-    where the path enters a new strongly connected component.
-
-    Returns value 0 with an empty witness when no source reaches the arc.
+    """Maximum empower of `arc`: the search toward the arc tail from every
+    source, ascending, with the witness unexpanded until asked for. The
+    total is summed as an unreduced integer pair, multiplied by the arc
+    weight once and becomes one `Fraction` at the end; it is 0, with an
+    empty witness, when no source reaches the arc.
     """
-    return ArcSearch(g, arc).solve()
+    tail, head = require_arc(g, arc)
+    w_num, w_den = g.arcs[tail, head].as_integer_ratio()
+    search = TailSearch(g, tail)
+    num, den, paths, witness = 0, 1, 0, 0
+    roots = []
+    for s in g.sources:
+        entry = search.entry(s)
+        if entry[2]:
+            e_num, e_den = g.source_emergy[s].as_integer_ratio()
+            n, d = e_num * entry[0], e_den * entry[1]
+            num, den = num * d + n * den, den * d
+            paths += entry[2]
+            witness += entry[3]
+            roots.append((s, entry, e_num * w_num, e_den * w_den))
+    stats = SolveStats(paths, witness, search.frame_count)
+
+    def expand() -> Iterator[EmergyPath]:
+        for root in roots:
+            yield from search.expand(*root, head)
+
+    return SolveResult(Fraction(num * w_num, den * w_den), stats, expand)
 
 
 def brute_force_solve(g: EmergyGraph, arc: tuple[int, int], cap: int = 20) -> SolveResult:

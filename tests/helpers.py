@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from empower.compat import CompatibilityGraph, compatible, find_induced_p4
 from empower.graph import EmergyGraph, NodeKind, require_arc
 from empower.paths import EmergyPath, enumerate_emergy_paths
-from empower.solver import ArcSearch
+from empower.solver import TailSearch
 
 
 def path_value(g: EmergyGraph, path: Sequence[int] | None) -> Fraction:
@@ -183,11 +183,40 @@ def best_compatible_value(g: EmergyGraph, seqs: list[tuple[int, ...]]) -> Fracti
 
 
 def search_value_table(g: EmergyGraph, arc: tuple[int, int]) -> dict[int, Fraction]:
-    """f(i) for every node: the search's value from i entered alone (the
-    entry's first two fields, numerator and denominator), scaled by the
-    emergy when i is a source."""
-    search = ArcSearch(g, arc)
-    return {i: g.source_emergy.get(i, 1) * Fraction(*search.entry(i)[:2]) for i in g.nodes}
+    """f(i) for every node: the search's value from i entered alone toward
+    the arc tail (the entry's first two fields, numerator and denominator),
+    times the arc weight, scaled by the emergy when i is a source."""
+    search, weight = TailSearch(g, arc[0]), g.arcs[arc]
+    return {i: g.source_emergy.get(i, 1) * weight * Fraction(*search.entry(i)[:2])
+            for i in g.nodes}
+
+
+def check_witness(g: EmergyGraph, arc: tuple[int, int], result) -> None:
+    """Certify a solve's witness in one pass over `result.witness_paths()`.
+
+    Every path starts at a source, follows arcs, is simple up to the arc
+    tail and ends with the arc; its value is the source's emergy times its
+    weight product; the paths ascend strictly, adjacent ones are compatible,
+    their number is the witness count and their sum is the value. In a
+    sorted list the fork of any two paths is the fork of some adjacent pair
+    between them, so adjacent compatibility is pairwise compatibility. This
+    certifies a feasible answer that adds up, not an optimal one.
+    """
+    count, total, previous = 0, Fraction(0), None
+    for p in result.witness_paths():
+        nodes = p.nodes
+        assert g.kind[nodes[0]] is NodeKind.SOURCE, p
+        assert nodes[-2:] == arc and len(set(nodes[:-1])) == len(nodes) - 1, p
+        num, den = g.source_emergy[nodes[0]].as_integer_ratio()
+        for a in zip(nodes, nodes[1:]):
+            w_num, w_den = g.arcs[a].as_integer_ratio()
+            num, den = num * w_num, den * w_den
+        assert p.value == Fraction(num, den), p
+        if previous is not None:
+            assert previous < nodes and compatible(g, previous, nodes), (previous, nodes)
+        count, total, previous = count + 1, total + p.value, nodes
+    assert count == result.stats.witness_count
+    assert total == result.value
 
 
 def arc_with_most_paths(g: EmergyGraph, max_paths: int | None = None) -> tuple[int, int] | None:

@@ -30,12 +30,13 @@ from empower.graph import (
 )
 from empower.hardness import build_reduction
 from empower.paths import EmergyPath, enumerate_emergy_paths
-from empower.solver import ArcSearch, brute_force_solve, solve_general
+from empower.solver import TailSearch, brute_force_solve, solve_general
 from helpers import (
     TrieNode,
     arc_with_most_paths,
     best_compatible_value,
     build_source_trie,
+    check_witness,
     emergy_graphs,
     evaluate_trie,
     pairwise_compatible,
@@ -302,6 +303,7 @@ class TestAgainstOracles:
         assert result.witness.paths == witness
         assert result.stats.path_count == path_count
         assert result.stats.witness_count == len(witness)
+        check_witness(g, arc, result)
         if path_count <= 16:
             brute = brute_force_solve(g, arc)
             assert brute.value == result.value
@@ -332,7 +334,7 @@ class TestAgainstOracles:
             if g.acyclic:
                 continue
             for arc in sorted(g.arcs):
-                search = ArcSearch(g, arc)
+                search, weight = TailSearch(g, arc[0]), g.arcs[arc]
                 paths = enumerate_emergy_paths(g, arc)
                 for s in g.sources:
                     own = [p for p in paths if p.source == s]
@@ -341,9 +343,11 @@ class TestAgainstOracles:
                     if not own:
                         continue
                     value, selected = evaluate_trie(g, build_source_trie(own))
-                    assert g.source_emergy[s] * Fraction(entry[0], entry[1]) == value
+                    start = g.source_emergy[s] * weight
+                    assert start * Fraction(entry[0], entry[1]) == value
                     assert entry[3] == len(selected)
-                    assert list(search.expand(s, entry)) == selected
+                    expanded = search.expand(s, entry, *start.as_integer_ratio(), arc[1])
+                    assert list(expanded) == selected
 
     def test_cyclic_graphs_list_no_paths(self, textbook, monkeypatch):
         monkeypatch.setattr("empower.paths.enumerate_emergy_paths", refuse_listing)
@@ -362,16 +366,18 @@ class TestAgainstOracles:
     @settings(max_examples=80, deadline=None)
     def test_shared_search_matches_fresh_searches(self, g):
         """Nodes a search leaves closed never change a later entry of the
-        same search: entering every node in turn on one `ArcSearch`, as
+        same search: entering every node in turn on one `TailSearch`, as
         `search_value_table` does, gives what a fresh search gives."""
-        for arc in sorted(g.arcs):
-            shared = ArcSearch(g, arc)
+        for tail, head in sorted(g.arcs):
+            shared = TailSearch(g, tail)
             for i in g.nodes:
-                fresh = ArcSearch(g, arc)
+                fresh = TailSearch(g, tail)
                 got, want = shared.entry(i), fresh.entry(i)
                 assert got[:4] == want[:4]
                 if i in g.source_emergy:
-                    assert list(shared.expand(i, got)) == list(fresh.expand(i, want))
+                    start = (g.source_emergy[i] * g.arcs[tail, head]).as_integer_ratio()
+                    assert list(shared.expand(i, got, *start, head)) == \
+                        list(fresh.expand(i, want, *start, head))
 
     @given(emergy_graphs())
     @settings(max_examples=80, deadline=None)
@@ -404,6 +410,61 @@ class TestAgainstOracles:
         first = next(result.witness_paths())
         assert first.nodes[:4] == (1, 2, 3, 5)
         assert first.value == Fraction(1, 2 ** 40)
+
+
+def cyclic_core_graphs() -> list[EmergyGraph]:
+    """`random_cyclic(24, 0.26, 4, seed)` for seeds 0-19: the shape of the
+    benchmark's cyclic-core workload, too large for the oracles."""
+    return [random_cyclic(24, 0.26, 4, seed) for seed in range(20)]
+
+
+class TestBeyondTheOracles:
+    """Checks that need no oracle, so they also run where brute force and
+    the trie oracle cannot."""
+
+    def check_scaling(self, g):
+        """An emergy path of arc (t, h) is a path to t followed by h, so for
+        heads h and h' of one tail: value(t, h) w(t, h') = value(t, h')
+        w(t, h), the stats are equal and the witnesses agree up to the last
+        node and that weight."""
+        heads = {}
+        for tail, head in sorted(g.arcs):
+            heads.setdefault(tail, []).append(head)
+        for tail, (first, *rest) in heads.items():
+            base, w = solve_general(g, (tail, first)), g.arcs[tail, first]
+            for head in rest:
+                result, v = solve_general(g, (tail, head)), g.arcs[tail, head]
+                assert result.value * w == base.value * v
+                assert result.stats == base.stats
+                for p, q in zip(result.witness_paths(), base.witness_paths(), strict=True):
+                    assert p.nodes[:-1] == q.nodes[:-1]
+                    assert p.value * w == q.value * v
+
+    @given(emergy_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_scaling_on_drawn_graphs(self, g):
+        self.check_scaling(g)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_scaling_on_every_generator_family(self, seed):
+        for g in family_instances(seed):
+            self.check_scaling(g)
+
+    @pytest.mark.parametrize("make", [
+        cyclic_core_graphs, lambda: [diamond_chain_into_cycle(12)[0]]],
+        ids=["cyclic-core-shape", "diamond-chain-into-cycle"])
+    def test_scaling_beyond_the_oracles(self, make):
+        for g in make():
+            self.check_scaling(g)
+
+    def test_witness_certificate_beyond_the_oracles(self):
+        instances = [diamond_chain(14)]
+        reduction = build_reduction(random_digraph(9, 0.6, 1))
+        instances.append((reduction.graph, reduction.target_arc))
+        instances += [(g, arc) for g in cyclic_core_graphs() for arc in sorted(g.arcs)]
+        for g, arc in instances:
+            check_witness(g, arc, solve_general(g, arc))
 
 
 class TestPerGraphTables:
