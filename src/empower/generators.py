@@ -122,25 +122,18 @@ def random_cyclic(nodes: int, arc_density: float, back_arcs: int, seed: int) -> 
     sources, inner, outs, succ = _forward_layout(rng, nodes, arc_density)
     if len(inner) < 2:
         raise ValueError("too few nodes for a cyclic instance")
-    candidates = [(j, i) for i in inner for j in inner
-                  if i < j and i not in succ[j]]
+    # every arc so far points forward, so no back arc is an arc already
+    candidates = [(j, i) for i in inner for j in inner if i < j]
     if not candidates:
         raise ValueError("no room for a back arc")
+    below = [0] * (nodes + 1)  # bit v of below[u]: u reaches v, or u == v
+    for u in range(nodes, 0, -1):  # successors have higher ids
+        reach = 1 << u
+        for v in succ.get(u, ()):
+            reach |= below[v]
+        below[u] = reach
 
-    def closes_cycle(back: tuple[int, int]) -> bool:
-        j, i = back
-        frontier, seen = [i], {i}
-        while frontier:
-            u = frontier.pop()
-            if u == j:
-                return True
-            for v in succ.get(u, []):
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return False
-
-    cycle_closing = [c for c in candidates if closes_cycle(c)]
+    cycle_closing = [(j, i) for j, i in candidates if below[i] >> j & 1]
     pool = cycle_closing if cycle_closing else candidates
     rng.shuffle(pool)
     for j, i in pool[:back_arcs]:

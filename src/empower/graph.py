@@ -36,19 +36,19 @@ class EmergyGraph:
     derived at construction; not to be changed afterwards.
 
     `kind` maps node id to its kind, `source_emergy` holds the emergy of each
-    source node, `arcs` maps (tail, head) to the arc weight. `sources` lists
-    the source ids and `succ[i]` the successor ids of node `i`, ascending,
-    which makes every traversal in this package deterministic. Two graphs
-    are equal when their kinds, emergies and arcs are; a graph is not
-    hashable.
+    source node, `arcs` maps (tail, head) to the arc weight and `sources`
+    lists the source ids ascending. Two graphs are equal when their kinds,
+    emergies and arcs are; a graph is not hashable.
 
-    The path search reads the index form: node `v` is the `v`-th id of
-    `nodes` (ascending) and `index` maps back. `kinds[v]` is its kind,
-    `options[v]` its successors ascending as (index, arc weight numerator,
-    arc weight denominator), `pred[v]` its predecessor indices ascending and
-    `comp[v]` its strongly connected component (`components`). `acyclic` is
-    true when every component is a single node. `tails` keeps each arc
-    tail's `tail_table`, so every arc query on the graph shares all of it.
+    The path search, the path listing and the validator read the index
+    form: node `v` is the `v`-th id of `nodes` (ascending) and `index` maps
+    back. `kinds[v]` is its kind, `options[v]` its successors ascending as
+    (index, arc weight numerator, arc weight denominator), which makes every
+    traversal in this package deterministic, `pred[v]` its predecessor
+    indices ascending and `comp[v]` its strongly connected component
+    (`components`). `acyclic` is true when every component is a single
+    node. `tails` keeps each arc tail's `tail_table`, so every arc query on
+    the graph, a search or a listing, shares all of it.
 
     The constructor rejects structural nonsense (self-loops, arcs touching
     undeclared nodes, emergy entries on non-sources); the semantic rules
@@ -80,7 +80,6 @@ class EmergyGraph:
         for (a, b), w in sorted(self.arcs.items()):
             options[index[a]].append((index[b], w.numerator, w.denominator))
             pred[index[b]].append(index[a])
-        self.succ = {v: tuple(nodes[w] for w, _, _ in options[i]) for i, v in enumerate(nodes)}
         self.comp = comp = components(options)
         self.acyclic = max(comp, default=-1) + 1 == len(comp)
         self.tails: dict[int, tuple[list, list[int]]] = {}
@@ -96,13 +95,13 @@ class EmergyGraph:
                 f"arcs={self.arcs!r})")
 
     def tail_table(self, tail: int) -> tuple[list, list[int]]:
-        """The graph a path search toward arc tail index `tail` walks, as
-        (options, comp), derived on first use and kept.
+        """The graph a path search or listing toward arc tail index `tail`
+        walks, as (options, comp), derived on first use and kept.
 
         `options[v]` are node index `v`'s successor options that can still
         reach the tail; the tail's own are cut, because every path stops
-        there. So the options hold no arc into a node that cannot reach the
-        tail and none out of the tail. `comp[v]` is the id of `v`'s strongly
+        there. So a walk over them never enters a node that cannot reach the
+        tail and never leaves the tail. `comp[v]` is the id of `v`'s strongly
         connected component in that graph; the tail is a component alone.
         """
         found = self.tails.get(tail)
@@ -337,7 +336,7 @@ def validate_graph(g: EmergyGraph) -> list[Violation]:
     one = Fraction(1)
     for v, i in enumerate(g.nodes):
         k = g.kind[i]
-        out = g.succ[i]
+        out = [g.nodes[w] for w, _, _ in g.options[v]]
         if k is NodeKind.SOURCE:
             if g.source_emergy[i] <= 0:
                 report.append(Violation(
@@ -354,7 +353,7 @@ def validate_graph(g: EmergyGraph) -> list[Violation]:
         elif k is NodeKind.OUTPUT:
             if out:
                 report.append(Violation(
-                    "output-succ", i, f"output {i} has successors {list(out)}"))
+                    "output-succ", i, f"output {i} has successors {out}"))
         else:
             if not out:
                 report.append(Violation(

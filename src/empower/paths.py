@@ -47,41 +47,39 @@ def iter_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> Iterator[EmergyPa
     """The emergy paths ending with `arc`, yielded one at a time in
     lexicographic order, so a listing holds one path at a time.
 
-    Runs an iterative backtracking search from each source in ascending id
-    order, expanding successors ascending, so the output order is the
-    lexicographic order of the node sequences. A branch completes exactly
-    when it reaches the arc tail; the head is then appended without a visited
-    check, which is the one permitted repetition. Path values are carried as
-    an integer numerator and denominator and become one `Fraction` per path.
-    Assumes a valid graph (sources have no predecessors, so interior nodes
-    are never sources). An unknown arc raises on the first `next`.
+    It backtracks from each source, ascending, over the table the path
+    search walks toward the arc tail (`EmergyGraph.tail_table`), whose
+    options ascend by id; so it never enters a node that cannot reach the
+    tail, and on an acyclic graph its work follows its output. A branch
+    completes on entering the tail, which has no options there, and the
+    head is appended without an on-path check: the one permitted
+    repetition. Values are integer pairs until one `Fraction` per path.
+    Assumes a valid graph (interior nodes are never sources). An unknown
+    arc raises on the first `next`.
     """
     tail, head = require_arc(g, arc)
-    arc_weight = g.arcs[(tail, head)]
-    last_num, last_den = arc_weight.numerator, arc_weight.denominator
+    w_num, w_den = g.arcs[tail, head].as_integer_ratio()
+    t = g.index[tail]
+    options, _ = g.tail_table(t)
+    ids = g.nodes
+    on_path = [False] * len(ids)
     for s in g.sources:
-        emergy = g.source_emergy[s]
-        if s == tail:
-            yield EmergyPath((s, head), emergy * arc_weight)
-            continue
-        path = [s]
-        seen = {s}
-        frames = [(iter(g.succ[s]), emergy.numerator, emergy.denominator)]
+        num, den = g.source_emergy[s].as_integer_ratio()
+        v = g.index[s]
+        # a frame is (node index, its options not yet tried, the path's value)
+        path, frames = [s], [(v, iter(options[v]), num, den)]
+        on_path[v] = True
         while frames:
-            successors, num, den = frames[-1]
-            nxt = next(successors, None)
-            if nxt is None:
+            v, untried, num, den = frames[-1]
+            if v == t:
+                yield EmergyPath((*path, head), Fraction(num * w_num, den * w_den))
+            for w, step_num, step_den in untried:
+                if not on_path[w]:
+                    on_path[w] = True
+                    path.append(ids[w])
+                    frames.append((w, iter(options[w]), num * step_num, den * step_den))
+                    break
+            else:
                 frames.pop()
-                seen.discard(path.pop())
-                continue
-            if nxt in seen:
-                continue
-            weight = g.arcs[(path[-1], nxt)]
-            step_num, step_den = num * weight.numerator, den * weight.denominator
-            if nxt == tail:
-                value = Fraction(step_num * last_num, step_den * last_den)
-                yield EmergyPath((*path, tail, head), value)
-                continue
-            path.append(nxt)
-            seen.add(nxt)
-            frames.append((iter(g.succ[nxt]), step_num, step_den))
+                on_path[v] = False
+                path.pop()

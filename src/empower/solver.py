@@ -314,16 +314,17 @@ def brute_force_solve(g: EmergyGraph, arc: tuple[int, int], cap: int = 20) -> So
     """Exhaustive maximization over all pairwise-compatible path subsets.
 
     The oracle the search is tested against; refuses more than `cap`
-    paths, counted by the search before any path is listed. Ties are broken
-    toward the lexicographically smallest path set.
+    paths, counted by the search before any path is listed, and past that
+    guard counts the paths it lists. Ties are broken toward the
+    lexicographically smallest path set.
     """
     from .compat import build_compatibility_graph  # only this oracle needs it
 
-    n = solve_general(g, arc).stats.path_count
-    if n > cap:
-        raise ValueError(f"{n} paths exceed the brute-force cap {cap}")
+    count = solve_general(g, arc).stats.path_count
+    if count > cap:
+        raise ValueError(f"{count} paths exceed the brute-force cap {cap}")
     cg = build_compatibility_graph(g, arc)
-    paths, masks = cg.vertices, cg.adjacency
+    paths, masks, n = cg.vertices, cg.adjacency, len(cg.vertices)
 
     best_value = Fraction(0)
     best_members: tuple[int, ...] = ()

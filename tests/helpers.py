@@ -23,6 +23,15 @@ from empower.paths import EmergyPath, enumerate_emergy_paths
 from empower.solver import TailSearch
 
 
+def successors(g: EmergyGraph) -> dict[int, tuple[int, ...]]:
+    """Each node id's successor ids ascending, read from `g.arcs` alone, so
+    the oracles share nothing the package derives."""
+    succ: dict[int, list[int]] = {v: [] for v in g.kind}
+    for a, b in sorted(g.arcs):
+        succ[a].append(b)
+    return {v: tuple(out) for v, out in succ.items()}
+
+
 def path_value(g: EmergyGraph, path: Sequence[int] | None) -> Fraction:
     """Value of a path: 0 for no path, 1 for a zero-arc path, otherwise the
     product of its arc weights, scaled by the source emergy when the path
@@ -79,15 +88,16 @@ def satisfies_path_definition(g: EmergyGraph, seq: tuple[int, ...], arc: tuple[i
 
 def oracle_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> list[tuple[int, ...]]:
     """Enumerate all bounded walks from every node and filter by the definition."""
-    max_nodes = len(g.nodes) + 1
+    max_nodes = len(g.kind) + 1
+    succ = successors(g)
     found = []
-    stack: list[tuple[int, ...]] = [(n,) for n in g.nodes]
+    stack: list[tuple[int, ...]] = [(n,) for n in g.kind]
     while stack:
         walk = stack.pop()
         if satisfies_path_definition(g, walk, arc):
             found.append(walk)
         if len(walk) < max_nodes:
-            for nxt in g.succ[walk[-1]]:
+            for nxt in succ[walk[-1]]:
                 stack.append(walk + (nxt,))
     return sorted(found)
 
@@ -127,13 +137,14 @@ def naive_find_p4(cg: CompatibilityGraph) -> tuple[int, ...] | None:
 def rooted_simple_paths(g: EmergyGraph, root: int, arc: tuple[int, int]) -> list[tuple[int, ...]]:
     """Simple paths from `root` ending with `arc` (for acyclic instances)."""
     tail, head = arc
+    succ = successors(g)
     found: list[tuple[int, ...]] = []
 
     def walk(node: int, prefix: tuple[int, ...], seen: set[int]):
         if node == tail:
             found.append(prefix + (head,))
             return
-        for nxt in g.succ[node]:
+        for nxt in succ[node]:
             if nxt in seen:
                 continue
             seen.add(nxt)

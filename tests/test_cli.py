@@ -580,14 +580,14 @@ sys.exit(code)
 """
 
 
-def run_fresh(args: list[str]) -> subprocess.CompletedProcess:
+def run_fresh(args: list[str], timeout: float = 60) -> subprocess.CompletedProcess:
     """`python ARGS` in a fresh interpreter that imports this `empower`;
-    it must exit 0."""
+    it must exit 0 within `timeout` seconds."""
     src = str(Path(empower.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return proc
 
@@ -616,6 +616,33 @@ def test_python_m_runs_every_command(argv, digraph_file, capsys):
     proc = run_fresh(["-m", "empower.cli", *argv])
     assert main(argv) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+@pytest.fixture
+def dead_chain_file(tmp_path):
+    """`diamond_chain(40)`, whose 2^40 paths never reach the query arc, and
+    a second source 124 feeding split 125, whose arc into output 126 is the
+    query arc with its one path."""
+    g, _ = diamond_chain(40)
+    extra = ("node 124 source 3\nnode 125 split\nnode 126 output\n"
+             "arc 124 125 1\narc 125 126 1\n")
+    f = tmp_path / "dead-chain.eg"
+    f.write_text(serialize_graph(g) + extra)
+    return str(f)
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["paths"], "124,125,126 value=3\n"),
+    (["check-cograph"], "1 vertices, 0 edges\n"),
+    (["solve", "--method", "brute"], "Em = 3 (3.00)\n"),
+], ids=["paths", "check-cograph", "solve-brute"])
+def test_paths_of_an_arc_skip_the_prefixes_that_never_reach_it(argv, out, dead_chain_file):
+    """Listing the one path walks none of the 2^40 prefixes that cannot
+    reach the arc tail; run in a child process so a walk over them fails
+    at the timeout instead of hanging."""
+    proc = run_fresh(["-m", "empower.cli", argv[0], dead_chain_file, "--arc", "125,126",
+                      *argv[1:]], timeout=20)
+    assert proc.stdout == out
 
 
 def test_counting_demo_agrees():

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from empower.generators import random_cyclic, random_dag
 from empower.paths import enumerate_emergy_paths
-from helpers import concat_paths, oracle_emergy_paths, path_value, satisfies_path_definition
+from helpers import (
+    concat_paths,
+    emergy_graphs,
+    oracle_emergy_paths,
+    path_value,
+    satisfies_path_definition,
+    successors,
+)
 
 TEXTBOOK_INVENTORY = {
     (1, 2, 4, 7): Fraction(70),
@@ -66,6 +73,17 @@ class TestEnumeration:
                 g = random_cyclic(6 + seed % 4, 0.5, 1, seed)
             except ValueError:
                 g = random_dag(6 + seed % 4, 0.5, seed)
+        self.check_against_walk_filter_oracle(g)
+
+    @given(emergy_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_graphs_against_walk_filter_oracle(self, g):
+        """The per-tail tables the listing shares with the search, checked
+        on drawn graphs: cycles, shared nodes and heads on the path."""
+        self.check_against_walk_filter_oracle(g)
+
+    @staticmethod
+    def check_against_walk_filter_oracle(g):
         for arc in sorted(g.arcs):
             enum = [p.nodes for p in enumerate_emergy_paths(g, arc)]
             assert enum == oracle_emergy_paths(g, arc)
@@ -131,13 +149,14 @@ class TestConcat:
     @settings(max_examples=30, deadline=None)
     def test_value_is_multiplicative_over_concat(self, seed):
         g = random_dag(6 + seed % 6, 0.6, seed)
+        succ = successors(g)
         rng = random.Random(seed)
         for _ in range(20):
             # random arc walk, cut anywhere; the tail piece never starts at a source
-            node = rng.choice([n for n in g.nodes if g.succ[n]])
+            node = rng.choice([n for n in g.nodes if succ[n]])
             walk = [node]
-            while g.succ[walk[-1]] and len(walk) < 8:
-                walk.append(rng.choice(g.succ[walk[-1]]))
+            while succ[walk[-1]] and len(walk) < 8:
+                walk.append(rng.choice(succ[walk[-1]]))
             if len(walk) < 3:
                 continue
             cut = rng.randrange(1, len(walk) - 1)

@@ -42,6 +42,7 @@ from helpers import (
     pairwise_compatible,
     path_value,
     reachability_to_target,
+    successors,
     trie_solve,
 )
 
@@ -75,21 +76,34 @@ def head_on_path(g: EmergyGraph) -> bool:
                for arc in g.arcs for p in enumerate_emergy_paths(g, arc))
 
 
+def sources_share_a_node(g: EmergyGraph) -> bool:
+    """Two sources feed the same node."""
+    succ = successors(g)
+    return len({succ[s] for s in g.sources}) < len(g.sources)
+
+
+def source_feeds_a_tail(g: EmergyGraph) -> bool:
+    """The node some source feeds has successors of its own."""
+    succ = successors(g)
+    return any(succ[succ[s][0]] for s in g.sources)
+
+
 def coproduct_branches_meet_in_a_cycle(g: EmergyGraph) -> bool:
     """Some co-product has two successors that both reach a node from which
     the co-product can be reached again."""
-    below = {v: descendants(g, v) for v in g.nodes}
+    succ = successors(g)
+    below = {v: descendants(succ, v) for v in succ}
     return any(c in below[m]
-               for c in g.nodes if g.kind[c] is NodeKind.COPRODUCT
-               for a, b in combinations(g.succ[c], 2)
+               for c in succ if g.kind[c] is NodeKind.COPRODUCT
+               for a, b in combinations(succ[c], 2)
                for m in below[a] & below[b])
 
 
-def descendants(g: EmergyGraph, v: int) -> set[int]:
-    """The nodes `v` reaches, itself included."""
+def descendants(succ: dict[int, tuple[int, ...]], v: int) -> set[int]:
+    """The nodes `v` reaches under the successor map `succ`, itself included."""
     seen, todo = {v}, [v]
     while todo:
-        for w in g.succ[todo.pop()]:
+        for w in succ[todo.pop()]:
             if w not in seen:
                 seen.add(w)
                 todo.append(w)
@@ -308,6 +322,7 @@ class TestAgainstOracles:
             brute = brute_force_solve(g, arc)
             assert brute.value == result.value
             assert brute.witness.paths == result.witness.paths
+            assert brute.stats.path_count == result.stats.path_count
         return result
 
     def test_textbook_every_arc(self, textbook):
@@ -392,10 +407,10 @@ class TestAgainstOracles:
             assert result.stats.path_count == len(enumerate_emergy_paths(g, arc))
 
     @pytest.mark.parametrize("shape", [
-        lambda g: len({g.succ[s] for s in g.sources}) < len(g.sources),
+        sources_share_a_node,
         coproduct_branches_meet_in_a_cycle,
         head_on_path,
-        lambda g: any(g.succ[g.succ[s][0]] for s in g.sources),
+        source_feeds_a_tail,
     ], ids=["sources-share-a-node", "coproduct-branches-meet-in-a-cycle",
             "head-on-path", "source-feeds-a-tail"])
     def test_drawn_graphs_have_shape(self, shape):
