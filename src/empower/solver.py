@@ -28,6 +28,22 @@ what is compatible, and its weight, a positive factor common to every
 path, changes no comparison and no tie: `solve_general` multiplies the
 tail's total by w(t, h) once and appends h to each witness path.
 
+The expansion steps from branch point to branch point. A branching entry,
+one with several kept branches, is met once per path into it; on an acyclic
+graph, where the memo shares every entry between the predecessors of its
+node, that is many times. There its first meeting turns each branch into a
+run: the node ids from the branch's node through the pass-through entries
+after it, up to the next branching entry or the tail, with the run's weight
+product as an unreduced integer pair. Every later meeting, from any source,
+reuses the runs, so per path the work follows the branch points that change
+and a pass-through stretch is copied in one list operation. The runs are
+kept per node, whose one entry the memo holds, at most one per kept branch
+of each branching entry met, none longer than the longest pass-through
+stretch plus one, and never a path: the witness still streams. On a graph
+with a cycle the expansion builds no runs and steps the branches node by
+node: an entry inside a component belongs to one path prefix, so most
+entries are met once and building their runs would cost more than it saves.
+
 `brute_force_solve` maximizes over all compatible subsets directly and
 exists purely as an oracle for small instances.
 """
@@ -36,6 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd
 from typing import Callable, Iterator, NamedTuple
 
@@ -105,8 +122,12 @@ class TailSearch:
     nodes that can reach the tail, and the strongly connected components of
     the graph they form. Construction keeps the memo, which holds the tail's
     unit entry and nothing else yet. The search runs on demand, once per
-    start node, and all start nodes share the memo. Assumes a valid graph:
-    positive weights, sources without predecessors.
+    start node, and all start nodes share the memo. `expand` turns an
+    entry into its kept paths. On an acyclic graph it keeps in `runs`, per
+    node, one run per kept branch of each branching entry it meets, so that
+    table is bounded by the witness entries times the longest pass-through
+    stretch. Assumes a valid graph: positive weights, sources without
+    predecessors.
     """
 
     def __init__(self, g: EmergyGraph, tail: int):
@@ -123,6 +144,9 @@ class TailSearch:
         # are dead on every path
         self.on_path = [False] * len(g.nodes)
         self.frame_count = 0
+        # on an acyclic graph the memo holds every node's one entry, and
+        # `expand` keeps here the runs of each branching one it has met
+        self.runs: list[list | None] | None = [None] * len(g.nodes) if g.acyclic else None
 
     def entry(self, node: int) -> tuple:
         """The search's entry for `node` as the first node of the paths,
@@ -242,42 +266,92 @@ class TailSearch:
         tail; path values are carried as an integer numerator and
         denominator and become one `Fraction` per distinct unreduced value
         in a row: a path whose product equals the previous path's shares
-        its `Fraction` (every path of a diamond chain does). An entry with
-        one kept branch is followed inline; only a split with several kept
-        branches gets a frame, [entry, index of its next branch, numerator,
-        denominator, path length], and moving to its next branch replaces
-        the path's tail in one slice assignment.
+        its `Fraction` (every path of a diamond chain does). A pass-through
+        entry (one kept branch) is followed inline. A branching entry
+        (several kept branches) gets a frame, [its branches, index of the
+        next one, numerator, denominator, path length], and moving to its
+        next branch replaces the path's tail in one slice assignment.
+
+        On an acyclic graph the frame's branches are the entry's runs (see
+        `_runs`), built on its first meeting and reused at every later one,
+        from any source: per path the work follows the branch points that
+        change, and a pass-through stretch is copied in one list operation.
+        On a graph with a cycle, where an entry inside a component is mostly
+        met once, the frame holds the entry itself and its branches are
+        stepped node by node.
         """
         if not root[2]:
             return
-        ids = self.g.nodes
+        ids, memo, table = self.g.nodes, self.memo, self.runs
         # builds the named tuple without its Python-level constructor call
         new = tuple.__new__
-        path, frames, entry = [node], [], root
+        # v is the index of the node whose entry is `entry`
+        path, frames, entry, v = [node], [], root, self.g.index[node]
         seen_num = seen_den = value = None
         while True:
             while entry is not _UNIT:
                 if len(entry) > 6:
+                    if table is not None:
+                        runs = table[v]
+                        if runs is None:
+                            runs = table[v] = self._runs(entry)
+                        frames.append([runs, 1, num, den, len(path)])
+                        nodes, w_num, w_den, v = runs[0]
+                        entry = memo[v]
+                        path += nodes
+                        num *= w_num
+                        den *= w_den
+                        continue
                     frames.append([entry, 6, num, den, len(path)])
-                (w, w_num, w_den), entry = entry[4], entry[5]
-                path.append(ids[w])
+                (v, w_num, w_den), entry = entry[4], entry[5]
+                path.append(ids[v])
                 num *= w_num
                 den *= w_den
             if num != seen_num or den != seen_den:
                 seen_num, seen_den, value = num, den, Fraction(num, den)
-            yield new(EmergyPath, ((*path, head), value))
+            # the next path's slice assignment cuts the head off again
+            path.append(head)
+            yield new(EmergyPath, (tuple(path), value))
             if not frames:
                 return
             frame = frames[-1]
-            split, i, num, den, length = frame
-            if i + 2 < len(split):
-                frame[1] = i + 2
+            branches, i, num, den, length = frame
+            if table is None:
+                if i + 2 < len(branches):
+                    frame[1] = i + 2
+                else:
+                    frames.pop()
+                (v, w_num, w_den), entry = branches[i], branches[i + 1]
+                path[length:] = (ids[v],)
             else:
-                frames.pop()
-            (w, w_num, w_den), entry = split[i], split[i + 1]
-            path[length:] = (ids[w],)
+                if i + 1 < len(branches):
+                    frame[1] = i + 1
+                else:
+                    frames.pop()
+                nodes, w_num, w_den, v = branches[i]
+                entry = memo[v]
+                path[length:] = nodes
             num *= w_num
             den *= w_den
+
+    def _runs(self, entry: tuple) -> list:
+        """The runs of branching `entry`, one per kept branch, in order:
+        (node ids from the branch's node through the pass-through entries
+        after it, their weight product's numerator, its denominator, the
+        index of the node the run stops at, which branches or is the
+        tail)."""
+        ids = self.g.nodes
+        runs = []
+        for i in range(4, len(entry), 2):
+            (w, r_num, r_den), sub = entry[i], entry[i + 1]
+            nodes = [ids[w]]
+            while len(sub) == 6:
+                (w, w_num, w_den), sub = sub[4], sub[5]
+                nodes.append(ids[w])
+                r_num *= w_num
+                r_den *= w_den
+            runs.append((nodes, r_num, r_den, w))
+        return runs
 
 
 def solve_general(g: EmergyGraph, arc: tuple[int, int]) -> SolveResult:
@@ -304,8 +378,7 @@ def solve_general(g: EmergyGraph, arc: tuple[int, int]) -> SolveResult:
     stats = SolveStats(paths, witness, search.frame_count)
 
     def expand() -> Iterator[EmergyPath]:
-        for root in roots:
-            yield from search.expand(*root, head)
+        return chain.from_iterable(search.expand(*root, head) for root in roots)
 
     return SolveResult(Fraction(num * w_num, den * w_den), stats, expand)
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import Phase, find, given, settings
@@ -426,6 +427,30 @@ class TestAgainstOracles:
         assert first.nodes[:4] == (1, 2, 3, 5)
         assert first.value == Fraction(1, 2 ** 40)
 
+    def test_witness_expansion_streams(self):
+        """The expansion keeps runs, never paths: streaming 2^16 paths of a
+        2^40-path witness holds what one path and the 40 splits' runs take,
+        where a table of those paths would take tens of MB."""
+        g, arc = diamond_chain(40)
+        paths = solve_general(g, arc).witness_paths()
+        tracemalloc.start()
+        try:
+            for _ in islice(paths, 2 ** 16):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+    def test_split_only_chain_witness_is_its_listing(self):
+        """Every path of a diamond chain coexists, so its witness is the
+        arc's whole listing, values included; the listing walks the tail
+        table, not the entries, and checks the runs up to 4,096 paths."""
+        for layers in range(1, 13):
+            g, arc = diamond_chain(layers)
+            assert tuple(solve_general(g, arc).witness_paths()) == \
+                tuple(enumerate_emergy_paths(g, arc))
+
 
 def cyclic_core_graphs() -> list[EmergyGraph]:
     """`random_cyclic(24, 0.26, 4, seed)` for seeds 0-19: the shape of the
@@ -480,6 +505,19 @@ class TestBeyondTheOracles:
         instances += [(g, arc) for g in cyclic_core_graphs() for arc in sorted(g.arcs)]
         for g, arc in instances:
             check_witness(g, arc, solve_general(g, arc))
+
+    def test_witness_certificate_at_dag_scale(self):
+        """The largest witness of `random_dag(50, 0.5, seed)`, seeds 0-9:
+        37,337 paths through entries shared between branches and sources and
+        through co-products, where the expansion reuses runs."""
+        total = 0
+        for seed in range(10):
+            g = random_dag(50, 0.5, seed)
+            results = {arc: solve_general(g, arc) for arc in sorted(g.arcs)}
+            arc = max(results, key=lambda a: results[a].stats.witness_count)  # ties low
+            check_witness(g, arc, results[arc])
+            total += results[arc].stats.witness_count
+        assert total == 37_337
 
 
 class TestPerGraphTables:
