@@ -44,6 +44,12 @@ with a cycle the expansion builds no runs and steps the branches node by
 node: an entry inside a component belongs to one path prefix, so most
 entries are met once and building their runs would cost more than it saves.
 
+The arc's path listing (`paths.iter_emergy_paths`) is the same search and
+expansion with every branch kept (`ListingSearch`), so it closes dead nodes
+and memoizes as a solve does and holds its entries: one per node on an
+acyclic graph, each source's tree of live prefixes on a graph with a cycle,
+which on a split-only graph is the tree a solve keeps for its witness.
+
 `brute_force_solve` maximizes over all compatible subsets directly and
 exists purely as an oracle for small instances.
 """
@@ -352,6 +358,16 @@ class TailSearch:
                 r_den *= w_den
             runs.append((nodes, r_num, r_den, w))
         return runs
+
+
+class ListingSearch(TailSearch):
+    """The search that keeps every live branch, whatever the node's kind,
+    so its expansion is the arc's listing. It sums only the path counts:
+    `expand` values each path from the arc weights."""
+
+    def _combine(self, v: int, kept: list) -> tuple:
+        paths = sum(sub[2] for sub in kept[1::2])
+        return 1, 1, paths, paths, *kept
 
 
 def solve_general(g: EmergyGraph, arc: tuple[int, int]) -> SolveResult:

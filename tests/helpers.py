@@ -2,14 +2,17 @@
 
 Everything here deliberately avoids the package's clever code paths: the
 path oracle enumerates every bounded walk and filters by the definition, the
+listing oracle backtracks from each source over the raw successor lists, the
 induced-path oracle scans raw vertex quadruples, the subset maximizer grows
 compatible sets directly from the relation, and the trie oracle builds each
-source's prefix trie from the materialised paths and evaluates it bottom-up.
-`emergy_graphs` draws small valid graphs for the property tests.
+source's prefix trie from the listing oracle's paths and evaluates it
+bottom-up. `emergy_graphs` draws small valid graphs for the property tests;
+`family_instances` and `cyclic_core_graphs` make the generator families'.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, groupby
@@ -18,9 +21,36 @@ from typing import Sequence
 from hypothesis import strategies as st
 
 from empower.compat import CompatibilityGraph, compatible, find_induced_p4
+from empower.generators import (
+    diamond_chain,
+    random_cyclic,
+    random_dag,
+    random_digraph,
+    random_no_split_graph,
+)
 from empower.graph import EmergyGraph, NodeKind, require_arc
-from empower.paths import EmergyPath, enumerate_emergy_paths
+from empower.hardness import build_reduction
+from empower.paths import EmergyPath
 from empower.solver import TailSearch
+
+
+def family_instances(seed: int):
+    """One instance of every generator family (cyclic ones when they exist)."""
+    yield diamond_chain(seed % 6, Fraction(1 + seed % 5, 3))[0]
+    yield random_dag(4 + seed % 9, 0.5, seed)
+    try:
+        yield random_cyclic(6 + seed % 6, 0.5, 1 + seed % 3, seed)
+    except ValueError:
+        pass
+    yield random_no_split_graph(4 + seed % 7, seed)
+    yield build_reduction(random_digraph(2 + seed % 5, 0.5, seed)).graph
+
+
+def cyclic_core_graphs() -> list[EmergyGraph]:
+    """`random_cyclic(24, 0.26, 4, seed)` for seeds 0-19: the shape of the
+    benchmark's cyclic-core workload, too large for the trie and brute-force
+    oracles."""
+    return [random_cyclic(24, 0.26, 4, seed) for seed in range(20)]
 
 
 def successors(g: EmergyGraph) -> dict[int, tuple[int, ...]]:
@@ -53,9 +83,20 @@ def path_value(g: EmergyGraph, path: Sequence[int] | None) -> Fraction:
 
 
 def reachability_to_target(g: EmergyGraph, arc: tuple[int, int]) -> frozenset[int]:
-    """Nodes with a directed path to the arc tail, the tail included."""
+    """Nodes with a directed path to the arc tail, the tail included: a
+    breadth-first search back from the tail over `successors(g)` reversed."""
     tail, _ = require_arc(g, arc)
-    return frozenset(v for v, live in zip(g.nodes, g.reaching(g.index[tail])) if live)
+    pred: dict[int, list[int]] = {v: [] for v in g.kind}
+    for v, out in successors(g).items():
+        for w in out:
+            pred[w].append(v)
+    seen, frontier = {tail}, deque([tail])
+    while frontier:
+        for v in pred[frontier.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return frozenset(seen)
 
 
 def pairwise_compatible(g: EmergyGraph, paths: Sequence[EmergyPath]) -> bool:
@@ -135,9 +176,12 @@ def naive_find_p4(cg: CompatibilityGraph) -> tuple[int, ...] | None:
 
 
 def rooted_simple_paths(g: EmergyGraph, root: int, arc: tuple[int, int]) -> list[tuple[int, ...]]:
-    """Simple paths from `root` ending with `arc` (for acyclic instances)."""
+    """Simple paths from `root` to the arc tail, each followed by the arc
+    head (which may repeat a node), in lexicographic order: a backtracking
+    walk over `successors(g)` that enters only nodes reaching the tail."""
     tail, head = arc
     succ = successors(g)
+    reach = reachability_to_target(g, arc)
     found: list[tuple[int, ...]] = []
 
     def walk(node: int, prefix: tuple[int, ...], seen: set[int]):
@@ -145,14 +189,23 @@ def rooted_simple_paths(g: EmergyGraph, root: int, arc: tuple[int, int]) -> list
             found.append(prefix + (head,))
             return
         for nxt in succ[node]:
-            if nxt in seen:
+            if nxt in seen or nxt not in reach:
                 continue
             seen.add(nxt)
             walk(nxt, prefix + (nxt,), seen)
             seen.remove(nxt)
 
-    walk(root, (root,), {root})
+    if root in reach:
+        walk(root, (root,), {root})
     return found
+
+
+def listed_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> list[EmergyPath]:
+    """Every emergy path of `arc` in lexicographic order: `rooted_simple_paths`
+    from each source, ascending, valued by `path_value`. It shares no code
+    with the package's listing, which is the search's own expansion."""
+    return [EmergyPath(p, path_value(g, p))
+            for s in sorted(g.source_emergy) for p in rooted_simple_paths(g, s, arc)]
 
 
 def best_compatible_value(g: EmergyGraph, seqs: list[tuple[int, ...]]) -> Fraction:
@@ -234,7 +287,7 @@ def arc_with_most_paths(g: EmergyGraph, max_paths: int | None = None) -> tuple[i
     """The arc carrying the most emergy paths (capped when asked), ties low."""
     best_arc, best_count = None, -1
     for arc in sorted(g.arcs):
-        count = len(enumerate_emergy_paths(g, arc))
+        count = len(listed_emergy_paths(g, arc))
         if max_paths is not None and count > max_paths:
             continue
         if count > best_count:
@@ -311,7 +364,7 @@ def evaluate_trie(g: EmergyGraph, root: TrieNode) -> tuple[Fraction, list[Emergy
 
 def trie_solve(g: EmergyGraph, arc: tuple[int, int]) -> tuple[Fraction, tuple[EmergyPath, ...], int]:
     """Optimum, sorted witness paths and path count by per-source tries."""
-    paths = enumerate_emergy_paths(g, arc)
+    paths = listed_emergy_paths(g, arc)
     total = Fraction(0)
     chosen: list[EmergyPath] = []
     for _, group in groupby(paths, key=lambda p: p.source):

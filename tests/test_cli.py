@@ -300,7 +300,7 @@ class TestPathsCommand:
         assert main(["paths", TEXTBOOK, "--arc", "4,9"]) == 2
 
     def test_listing_streams(self, textbook, monkeypatch, capsys):
-        """The listing is printed as the walk finds it, never held whole."""
+        """The listing is printed as the expansion yields it, never as a list."""
         expected = "".join(f"path nodes={p} source={p.source} arcs={p.arc_count} value={p.value}\n"
                            for p in enumerate_emergy_paths(textbook, (4, 7)))
 
@@ -642,6 +642,40 @@ def test_paths_of_an_arc_skip_the_prefixes_that_never_reach_it(argv, out, dead_c
     at the timeout instead of hanging."""
     proc = run_fresh(["-m", "empower.cli", argv[0], dead_chain_file, "--arc", "125,126",
                       *argv[1:]], timeout=20)
+    assert proc.stdout == out
+
+
+@pytest.fixture
+def dead_cycle_file(tmp_path):
+    """Source 1 feeds split 2, which feeds split 3 (into output 4) and
+    splits 5..16; each of those feeds the other eleven and 2 back. The
+    cycle through 5..16 reaches the query arc 3,4 only through 2, which is
+    on every path, so the arc's one emergy path is 1,2,3,4."""
+    k, ring = 12, range(5, 17)
+    lines = ["node 1 source 1", "node 2 split", "node 3 split", "node 4 output",
+             *(f"node {v} split" for v in ring),
+             "arc 1 2 1", f"arc 2 3 1/{k + 1}", "arc 3 4 1",
+             *(f"arc 2 {v} 1/{k + 1}" for v in ring),
+             *(f"arc {v} {w} 1/{k}" for v in ring for w in (2, *ring) if w != v)]
+    text = "\n".join(lines) + "\n"
+    assert validate_graph(parse_graph(text)) == []
+    f = tmp_path / "dead-cycle.eg"
+    f.write_text(text)
+    return str(f)
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["paths"], "1,2,3,4 value=1/13\n"),
+    (["check-cograph"], "1 vertices, 0 edges\n"),
+    (["solve", "--method", "brute", "--state"], "Em = 1/13 (0.08)\nstate:\n  1,2,3,4 value=1/13\n"),
+], ids=["paths", "check-cograph", "solve-brute-state"])
+def test_a_dead_cycle_keeps_the_listing_small(argv, out, dead_cycle_file):
+    """Past the one path, a walk that does not close dead nodes enters
+    every simple path into the 12-split cycle, each leading only back to
+    split 2 on the path: minutes of work. The listing closes them as the
+    search does; run in a child process so the walk fails at the timeout."""
+    proc = run_fresh(["-m", "empower.cli", argv[0], dead_cycle_file, "--arc", "3,4",
+                      *argv[1:]], timeout=30)
     assert proc.stdout == out
 
 

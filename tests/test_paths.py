@@ -13,7 +13,10 @@ from empower.generators import random_cyclic, random_dag
 from empower.paths import enumerate_emergy_paths
 from helpers import (
     concat_paths,
+    cyclic_core_graphs,
     emergy_graphs,
+    family_instances,
+    listed_emergy_paths,
     oracle_emergy_paths,
     path_value,
     satisfies_path_definition,
@@ -78,9 +81,10 @@ class TestEnumeration:
     @given(emergy_graphs())
     @settings(max_examples=60, deadline=None)
     def test_drawn_graphs_against_walk_filter_oracle(self, g):
-        """The per-tail tables the listing shares with the search, checked
-        on drawn graphs: cycles, shared nodes and heads on the path."""
+        """The listing on drawn graphs: cycles, shared nodes and heads on
+        the path, against both oracles."""
         self.check_against_walk_filter_oracle(g)
+        self.check_against_backtracking(g)
 
     @staticmethod
     def check_against_walk_filter_oracle(g):
@@ -88,6 +92,23 @@ class TestEnumeration:
             enum = [p.nodes for p in enumerate_emergy_paths(g, arc)]
             assert enum == oracle_emergy_paths(g, arc)
             assert enum == sorted(enum)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_every_generator_family_against_backtracking(self, seed):
+        for g in family_instances(seed):
+            self.check_against_backtracking(g)
+
+    def test_cyclic_core_shape_against_backtracking(self):
+        for g in cyclic_core_graphs():
+            self.check_against_backtracking(g)
+
+    @staticmethod
+    def check_against_backtracking(g):
+        """The listing, the search's expansion with every branch kept,
+        against the tests' own backtracking walk: nodes, values and order."""
+        for arc in sorted(g.arcs):
+            assert enumerate_emergy_paths(g, arc) == listed_emergy_paths(g, arc)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)

@@ -30,7 +30,7 @@ from empower.graph import (
     validate_graph,
 )
 from empower.hardness import build_reduction
-from empower.paths import EmergyPath, enumerate_emergy_paths
+from empower.paths import EmergyPath, enumerate_emergy_paths, iter_emergy_paths
 from empower.solver import TailSearch, brute_force_solve, solve_general
 from helpers import (
     TrieNode,
@@ -38,8 +38,11 @@ from helpers import (
     best_compatible_value,
     build_source_trie,
     check_witness,
+    cyclic_core_graphs,
     emergy_graphs,
     evaluate_trie,
+    family_instances,
+    listed_emergy_paths,
     pairwise_compatible,
     path_value,
     reachability_to_target,
@@ -109,18 +112,6 @@ def descendants(succ: dict[int, tuple[int, ...]], v: int) -> set[int]:
                 seen.add(w)
                 todo.append(w)
     return seen
-
-
-def family_instances(seed: int):
-    """One instance of every generator family (cyclic ones when they exist)."""
-    yield diamond_chain(seed % 6, Fraction(1 + seed % 5, 3))[0]
-    yield random_dag(4 + seed % 9, 0.5, seed)
-    try:
-        yield random_cyclic(6 + seed % 6, 0.5, 1 + seed % 3, seed)
-    except ValueError:
-        pass
-    yield random_no_split_graph(4 + seed % 7, seed)
-    yield build_reduction(random_digraph(2 + seed % 5, 0.5, seed)).graph
 
 
 def refuse_listing(*args):
@@ -442,20 +433,28 @@ class TestAgainstOracles:
             tracemalloc.stop()
         assert peak < 256 * 1024
 
+    def test_listing_streams_on_acyclic_graphs(self):
+        """On an acyclic graph the listing's search holds one entry per
+        node, never the paths: streaming 2^16 of a diamond chain's 2^40
+        paths holds what one path and the 40 splits' runs take."""
+        g, arc = diamond_chain(40)
+        tracemalloc.start()
+        try:
+            for _ in islice(iter_emergy_paths(g, arc), 2 ** 16):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
     def test_split_only_chain_witness_is_its_listing(self):
         """Every path of a diamond chain coexists, so its witness is the
-        arc's whole listing, values included; the listing walks the tail
-        table, not the entries, and checks the runs up to 4,096 paths."""
+        arc's whole listing, values included; the backtracking listing of
+        the tests checks the runs up to 4,096 paths."""
         for layers in range(1, 13):
             g, arc = diamond_chain(layers)
             assert tuple(solve_general(g, arc).witness_paths()) == \
-                tuple(enumerate_emergy_paths(g, arc))
-
-
-def cyclic_core_graphs() -> list[EmergyGraph]:
-    """`random_cyclic(24, 0.26, 4, seed)` for seeds 0-19: the shape of the
-    benchmark's cyclic-core workload, too large for the oracles."""
-    return [random_cyclic(24, 0.26, 4, seed) for seed in range(20)]
+                tuple(listed_emergy_paths(g, arc))
 
 
 class TestBeyondTheOracles:
