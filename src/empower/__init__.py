@@ -11,7 +11,7 @@ from importlib import import_module
 _SUBMODULE = {
     "EmergyGraph": "graph", "NodeKind": "graph", "ParseError": "graph",
     "parse_graph": "graph", "serialize_graph": "graph", "validate_graph": "graph",
-    "EmergyPath": "paths", "enumerate_emergy_paths": "paths",
+    "EmergyPath": "solver", "enumerate_emergy_paths": "paths",
     "SolveResult": "solver", "solve_general": "solver", "brute_force_solve": "solver",
     "solve_dag": "dag", "GraphCycleError": "dag",
     "build_compatibility_graph": "compat", "find_induced_p4": "compat",

@@ -11,14 +11,17 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 from .graph import (_MAX_DIGITS, _TOO_LONG, EmergyGraph, ParseError, parse_graph, parse_id,
                     serialize_graph, validate_graph)
-from .solver import SolveResult, brute_force_solve, solve_general
 
-# A process runs one command: the hardness reduction, the generators and the
-# compatibility graph are imported inside the commands that use them.
+if TYPE_CHECKING:
+    from .solver import SolveResult
+
+# A process runs one command: the solver, the listing, the hardness
+# reduction, the generators and the compatibility graph are imported inside
+# the commands that use them.
 
 # the textbook arc whose solution prints `fixtures.TEXTBOOK_NOTICE`; only a
 # solve at this arc loads `fixtures`
@@ -134,6 +137,8 @@ def cmd_paths(args) -> int:
 def _solve(g: EmergyGraph, arc: tuple[int, int], method: str,
            want_state: bool) -> tuple[str, SolveResult]:
     """The method that runs, with `auto` resolved, and its result."""
+    from .solver import brute_force_solve, solve_general
+
     if method == "brute":
         try:
             return method, brute_force_solve(g, arc)
@@ -187,6 +192,7 @@ def cmd_solve(args) -> int:
 
 def cmd_check_cograph(args) -> int:
     from .compat import build_compatibility_graph, find_induced_p4
+    from .solver import solve_general
 
     g = _load(args)
     # count the paths without listing them, so the cap comes before the O(n^2) work

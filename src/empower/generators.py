@@ -141,47 +141,6 @@ def random_cyclic(nodes: int, arc_density: float, back_arcs: int, seed: int) -> 
     return _assemble(rng, sources, inner, outs, succ)
 
 
-def random_no_split_graph(nodes: int, seed: int) -> EmergyGraph:
-    """A valid instance whose intermediates are all co-products.
-
-    Every weight is then 1, so the empower of any arc is the sum of the
-    emergies of the sources that reach it. Occasionally adds a cycle-closing
-    back arc between co-products (free: co-product weights need no rebalance).
-    """
-    if nodes < 2:
-        raise ValueError("need at least 2 nodes")
-    rng = random.Random(seed)
-    n_src = 1 if nodes < 5 else rng.randint(1, 2)
-    n_out = min(2, nodes - n_src)
-    sources = list(range(1, n_src + 1))
-    outs = list(range(nodes - n_out + 1, nodes + 1))
-    inner = list(range(n_src + 1, nodes - n_out + 1))
-    if inner and n_out < 2:
-        raise ValueError("co-products need two successors; too few nodes")
-    kinds: dict[int, NodeKind] = {}
-    emergy: dict[int, Fraction] = {}
-    arcs: dict[tuple[int, int], Fraction] = {}
-    for s in sources:
-        kinds[s] = NodeKind.SOURCE
-        emergy[s] = Fraction(rng.randint(1, 60), rng.randint(1, 5))
-        arcs[(s, rng.choice(inner) if inner else rng.choice(outs))] = Fraction(1)
-    for o in outs:
-        kinds[o] = NodeKind.OUTPUT
-    for i in inner:
-        kinds[i] = NodeKind.COPRODUCT
-        later = [j for j in inner if j > i] + outs
-        chosen = {j for j in later if rng.random() < 0.5}
-        while len(chosen) < 2:
-            chosen.add(rng.choice(later))
-        for j in sorted(chosen):
-            arcs[(i, j)] = Fraction(1)
-    if len(inner) >= 2 and rng.random() < 0.5:
-        i, j = sorted(rng.sample(inner, 2))
-        if (j, i) not in arcs:
-            arcs[(j, i)] = Fraction(1)
-    return EmergyGraph(kinds, emergy, arcs)
-
-
 def random_digraph(vertices: int, arc_prob: float, seed: int) -> Digraph:
     """A counting instance: start 1, target `vertices`, each arc kept with `arc_prob`."""
     from .hardness import Digraph

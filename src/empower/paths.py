@@ -14,33 +14,18 @@ diamond chain), and on a graph with a cycle each source's tree of live
 prefixes, which on a split-only graph is the tree `solve --state` keeps
 (28 MB against its 33 MB on the 96,625 paths of the split-only reduction
 of `random_digraph(12, 0.6, 1)`).
+
+A listed path is an `EmergyPath`, defined in `empower.solver` next to the
+expansion that builds every one and imported here, so this module depends
+on the solver and the solver not on it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .graph import EmergyGraph, require_arc
-
-
-class EmergyPath(NamedTuple):
-    """A node sequence with its value cached at enumeration time; paths
-    order by their node sequences, then by value."""
-
-    nodes: tuple[int, ...]
-    value: Fraction
-
-    @property
-    def source(self) -> int:
-        return self.nodes[0]
-
-    @property
-    def arc_count(self) -> int:
-        return len(self.nodes) - 1
-
-    def __str__(self) -> str:
-        return ",".join(str(n) for n in self.nodes)
+from .solver import EmergyPath, ListingSearch
 
 
 def enumerate_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> list[EmergyPath]:
@@ -62,8 +47,6 @@ def iter_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> Iterator[EmergyPa
     live branch (`solver.ListingSearch`). Assumes a valid graph (interior
     nodes are never sources). An unknown arc raises on the first `next`.
     """
-    from .solver import ListingSearch  # the solver imports EmergyPath from here
-
     tail, head = require_arc(g, arc)
     w_num, w_den = g.arcs[tail, head].as_integer_ratio()
     search = ListingSearch(g, tail)

@@ -49,6 +49,9 @@ expansion with every branch kept (`ListingSearch`), so it closes dead nodes
 and memoizes as a solve does and holds its entries: one per node on an
 acyclic graph, each source's tree of live prefixes on a graph with a cycle,
 which on a split-only graph is the tree a solve keeps for its witness.
+`EmergyPath`, the path type of witnesses and listings alike, is defined
+here, beside the expansion that builds every one; `empower.paths` imports
+it from here.
 
 `brute_force_solve` maximizes over all compatible subsets directly and
 exists purely as an oracle for small instances.
@@ -63,7 +66,25 @@ from math import gcd
 from typing import Callable, Iterator, NamedTuple
 
 from .graph import EmergyGraph, NodeKind, require_arc
-from .paths import EmergyPath
+
+
+class EmergyPath(NamedTuple):
+    """A node sequence with its value cached at enumeration time; paths
+    order by their node sequences, then by value."""
+
+    nodes: tuple[int, ...]
+    value: Fraction
+
+    @property
+    def source(self) -> int:
+        return self.nodes[0]
+
+    @property
+    def arc_count(self) -> int:
+        return len(self.nodes) - 1
+
+    def __str__(self) -> str:
+        return ",".join(str(n) for n in self.nodes)
 
 
 class EmergyState(NamedTuple):

@@ -7,11 +7,14 @@ induced-path oracle scans raw vertex quadruples, the subset maximizer grows
 compatible sets directly from the relation, and the trie oracle builds each
 source's prefix trie from the listing oracle's paths and evaluates it
 bottom-up. `emergy_graphs` draws small valid graphs for the property tests;
-`family_instances` and `cyclic_core_graphs` make the generator families'.
+`family_instances` and `cyclic_core_graphs` make the generator families',
+and `random_no_split_graph` the co-product-only instances only the tests
+use.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,12 +29,52 @@ from empower.generators import (
     random_cyclic,
     random_dag,
     random_digraph,
-    random_no_split_graph,
 )
 from empower.graph import EmergyGraph, NodeKind, require_arc
 from empower.hardness import build_reduction
 from empower.paths import EmergyPath
 from empower.solver import TailSearch
+
+
+def random_no_split_graph(nodes: int, seed: int) -> EmergyGraph:
+    """A valid instance whose intermediates are all co-products.
+
+    Every weight is then 1, so the empower of any arc is the sum of the
+    emergies of the sources that reach it. Occasionally adds a cycle-closing
+    back arc between co-products (free: co-product weights need no rebalance).
+    """
+    if nodes < 2:
+        raise ValueError("need at least 2 nodes")
+    rng = random.Random(seed)
+    n_src = 1 if nodes < 5 else rng.randint(1, 2)
+    n_out = min(2, nodes - n_src)
+    sources = list(range(1, n_src + 1))
+    outs = list(range(nodes - n_out + 1, nodes + 1))
+    inner = list(range(n_src + 1, nodes - n_out + 1))
+    if inner and n_out < 2:
+        raise ValueError("co-products need two successors; too few nodes")
+    kinds: dict[int, NodeKind] = {}
+    emergy: dict[int, Fraction] = {}
+    arcs: dict[tuple[int, int], Fraction] = {}
+    for s in sources:
+        kinds[s] = NodeKind.SOURCE
+        emergy[s] = Fraction(rng.randint(1, 60), rng.randint(1, 5))
+        arcs[(s, rng.choice(inner) if inner else rng.choice(outs))] = Fraction(1)
+    for o in outs:
+        kinds[o] = NodeKind.OUTPUT
+    for i in inner:
+        kinds[i] = NodeKind.COPRODUCT
+        later = [j for j in inner if j > i] + outs
+        chosen = {j for j in later if rng.random() < 0.5}
+        while len(chosen) < 2:
+            chosen.add(rng.choice(later))
+        for j in sorted(chosen):
+            arcs[(i, j)] = Fraction(1)
+    if len(inner) >= 2 and rng.random() < 0.5:
+        i, j = sorted(rng.sample(inner, 2))
+        if (j, i) not in arcs:
+            arcs[(j, i)] = Fraction(1)
+    return EmergyGraph(kinds, emergy, arcs)
 
 
 def family_instances(seed: int):

@@ -17,7 +17,6 @@ from empower.generators import (
     random_cyclic,
     random_dag,
     random_digraph,
-    random_no_split_graph,
 )
 from empower.graph import EmergyGraph
 from empower.hardness import (
@@ -33,6 +32,7 @@ from helpers import (
     arc_with_most_paths,
     best_compatible_value,
     is_p4_free,
+    random_no_split_graph,
     reachability_to_target,
     rooted_simple_paths,
     search_value_table,

@@ -696,6 +696,8 @@ def test_bench_script_offers_count_paths_and_the_workloads():
 class TestStartupImports:
     NOT_NEEDED = {"dataclasses", "empower.hardness", "empower.compat",
                   "empower.generators", "empower.dag"}
+    # a solve lists no paths, and a validation neither lists nor solves
+    NOT_RUN = {"solve": {"empower.paths"}, "validate": {"empower.paths", "empower.solver"}}
 
     @pytest.mark.parametrize("argv", [
         ["solve", TEXTBOOK, "--arc", "7,8"],
@@ -705,12 +707,19 @@ class TestStartupImports:
     def test_command_loads_only_what_it_runs(self, argv):
         loaded = modules_loaded_by(argv)
         assert "empower.cli" in loaded
-        assert loaded & self.NOT_NEEDED == set()
+        assert loaded & (self.NOT_NEEDED | self.NOT_RUN[argv[0]]) == set()
 
     def test_gen_loads_no_counting_or_compatibility(self):
         loaded = modules_loaded_by(["gen", "--family", "random-dag"])
         assert "empower.generators" in loaded
-        assert loaded & {"empower.hardness", "empower.compat"} == set()
+        assert loaded & {"empower.hardness", "empower.compat", "empower.solver"} == set()
+
+    def test_imports_run_one_way(self):
+        """The solver loads no listing, and the path type the listing
+        re-exports is the solver's."""
+        proc = run_fresh(["-c", "import sys, empower.solver; print('empower.paths' in sys.modules)"])
+        assert proc.stdout == "False\n"
+        assert empower.EmergyPath is empower.paths.EmergyPath is empower.solver.EmergyPath
 
     def test_package_uses_no_dataclasses(self):
         package = Path(empower.__file__).parent

@@ -14,10 +14,10 @@ from empower.generators import (
     random_cyclic,
     random_dag,
     random_digraph,
-    random_no_split_graph,
 )
 from empower.graph import NodeKind, serialize_graph, topological_order, validate_graph
 from empower.paths import enumerate_emergy_paths
+from helpers import random_no_split_graph
 
 
 class TestDiamondChain:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from empower.generators import random_cyclic, random_dag
-from empower.paths import enumerate_emergy_paths
+from empower.paths import enumerate_emergy_paths, iter_emergy_paths
 from helpers import (
     concat_paths,
     cyclic_core_graphs,
@@ -56,6 +56,11 @@ class TestEnumeration:
     def test_bad_arc_raises(self, textbook):
         with pytest.raises(ValueError, match="not an arc"):
             enumerate_emergy_paths(textbook, (1, 7))
+
+    def test_listing_raises_on_its_first_next(self, textbook):
+        paths = iter_emergy_paths(textbook, (1, 7))
+        with pytest.raises(ValueError, match="not an arc"):
+            next(paths)
 
     def test_cached_values_match_recomputation(self, textbook):
         for arc in textbook.arcs:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, islice
@@ -16,7 +17,6 @@ from empower.generators import (
     random_cyclic,
     random_dag,
     random_digraph,
-    random_no_split_graph,
 )
 import empower.graph
 from empower.fixtures import load_textbook
@@ -45,6 +45,7 @@ from helpers import (
     listed_emergy_paths,
     pairwise_compatible,
     path_value,
+    random_no_split_graph,
     reachability_to_target,
     successors,
     trie_solve,
@@ -517,6 +518,112 @@ class TestBeyondTheOracles:
             check_witness(g, arc, results[arc])
             total += results[arc].stats.witness_count
         assert total == 37_337
+
+    # Metamorphic relations: a change of the input whose effect on every
+    # answer is known in advance (Chen, Cheung and Yiu 1998). Each check
+    # takes `before`, the solves of g it compares against, by arc.
+
+    def check_relabel(self, g, before, orders):
+        """Renaming the node ids by a permutation (sorted ids to each of
+        `orders`) moves no value and no path count. The witness may move:
+        co-product ties go to the smallest id."""
+        for order in orders:
+            to = dict(zip(sorted(g.kind), order))
+            h = EmergyGraph({to[v]: k for v, k in g.kind.items()},
+                            {to[s]: e for s, e in g.source_emergy.items()},
+                            {(to[a], to[b]): w for (a, b), w in g.arcs.items()})
+            for (a, b), old in before.items():
+                new = solve_general(h, (to[a], to[b]))
+                assert (new.value, new.stats.path_count) == \
+                    (old.value, old.stats.path_count), ((a, b), order)
+
+    def check_subdivide(self, g, before, arc):
+        """Arc (a, b) of weight w becomes a -> x -> b through a new split x
+        (weights w and 1). Every other arc keeps its value and path count,
+        and its witness count unless a is a co-product: x takes the largest
+        id, so a tie at a may go the other way. Arcs (a, x) and (x, b) each
+        answer as (a, b) did."""
+        (a, b), x = arc, max(g.kind) + 1
+        arcs = dict(g.arcs)
+        arcs[a, x], arcs[x, b] = arcs.pop(arc), Fraction(1)
+        h = EmergyGraph({**g.kind, x: NodeKind.SPLIT}, g.source_emergy, arcs)
+        assert validate_graph(h) == []
+        ties_may_move = g.kind[a] is NodeKind.COPRODUCT
+        for other, old in before.items():
+            if other == arc:
+                for new in (solve_general(h, (a, x)), solve_general(h, (x, b))):
+                    assert (new.value, new.stats[:2]) == (old.value, old.stats[:2]), arc
+                continue
+            new = solve_general(h, other)
+            assert (new.value, new.stats.path_count) == \
+                (old.value, old.stats.path_count), (arc, other)
+            if not ties_may_move:
+                assert new.stats.witness_count == old.stats.witness_count, (arc, other)
+
+    def check_source_split(self, g, before, s):
+        """Source s of emergy e keeps e/3 and a new source t, feeding s's
+        successor v, takes 2e/3. Every arc keeps its value but those out of
+        s and t, whose values sum to the old value of (s, v)."""
+        (v,) = [b for a, b in g.arcs if a == s]
+        t, e = max(g.kind) + 1, g.source_emergy[s]
+        h = EmergyGraph({**g.kind, t: NodeKind.SOURCE},
+                        {**g.source_emergy, s: e / 3, t: 2 * e / 3},
+                        {**g.arcs, (t, v): g.arcs[s, v]})
+        assert validate_graph(h) == []
+        for arc, old in before.items():
+            new = solve_general(h, arc).value
+            if arc == (s, v):
+                new += solve_general(h, (t, v)).value
+            assert new == old.value, (s, arc)
+
+    @staticmethod
+    def solved(g, arcs=None):
+        """The solve of each of `arcs` (default: every arc of g), by arc."""
+        return {arc: solve_general(g, arc) for arc in (sorted(g.arcs) if arcs is None else arcs)}
+
+    @staticmethod
+    def shuffled(g, seed):
+        """Two permutations of g's node ids, picked by `seed`."""
+        ids, rng = sorted(g.kind), random.Random(seed)
+        return [rng.sample(ids, len(ids)) for _ in range(2)]
+
+    def check_relations(self, g, seed):
+        """Two relabelings, one subdivided arc and one split source, picked
+        by `seed`, on every arc."""
+        before, rng = self.solved(g), random.Random(seed)
+        self.check_relabel(g, before, self.shuffled(g, seed))
+        self.check_subdivide(g, before, rng.choice(sorted(g.arcs)))
+        self.check_source_split(g, before, rng.choice(g.sources))
+
+    @given(emergy_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_relations_on_drawn_graphs(self, g, data):
+        before, ids = self.solved(g), sorted(g.kind)
+        self.check_relabel(g, before, [data.draw(st.permutations(ids)) for _ in range(2)])
+        self.check_subdivide(g, before, data.draw(st.sampled_from(sorted(g.arcs))))
+        self.check_source_split(g, before, data.draw(st.sampled_from(g.sources)))
+
+    def test_relations_on_every_generator_family(self):
+        for seed in range(30):
+            for g in family_instances(seed):
+                self.check_relations(g, seed)
+
+    def test_relations_beyond_the_oracles(self):
+        for seed, g in enumerate(cyclic_core_graphs()):
+            self.check_relations(g, seed)
+        for seed in range(3):
+            g = random_dag(50, 0.5, seed)
+            self.check_relabel(g, self.solved(g), self.shuffled(g, seed))
+
+    def test_relabel_on_reductions(self):
+        """Every arc of the reductions of `random_digraph(8-10, 0.6, seed)`,
+        but at 10 vertices, where every arc takes seconds, the target arc."""
+        for seed in range(2):
+            for n in (8, 9, 10):
+                reduction = build_reduction(random_digraph(n, 0.6, seed))
+                g = reduction.graph
+                before = self.solved(g, None if n < 10 else [reduction.target_arc])
+                self.check_relabel(g, before, self.shuffled(g, seed))
 
 
 class TestPerGraphTables:
