@@ -18,7 +18,8 @@ suites:
   derives its index form and whole-graph Tarjan pass when it is built, that
   work is timed in `build_reduction`, not in `solve_general`. The instances
   are lines of 100, 200 and 400 vertices, where the reduction's numbers are
-  longest, and `random_digraph(12, 0.6, 1)`, with 96,625 simple paths. Every
+  longest, and `random_digraph(12, 0.6, 1)` and `random_digraph(13, 0.6, 1)`,
+  with 96,625 and 751,690 simple paths, whose reductions are dense. Every
   run must decode the count the DFS finds, and the sides must count alike.
 - one suite per workload of BENCHMARK.json (`cli-queries`,
   `acyclic-explosion`, `cyclic-core`; 10 repeats): each side's package is
@@ -61,6 +62,7 @@ INSTANCES = {
     "line-200": "line digraph 1 -> 2 -> ... -> 200, start 1, target 200",
     "line-400": "line digraph 1 -> 2 -> ... -> 400, start 1, target 400",
     "random-digraph-12": "generators.random_digraph(12, 0.6, 1), start 1, target 12",
+    "random-digraph-13": "generators.random_digraph(13, 0.6, 1), start 1, target 13",
 }
 STAGES = ("build_reduction", "solve_general", "decode_counts", "dfs_count")
 
@@ -117,7 +119,7 @@ def count_paths_child(label: str) -> None:
         d = Digraph(frozenset(range(1, n + 1)),
                     frozenset((i, i + 1) for i in range(1, n)), 1, n)
     else:
-        d = random_digraph(12, 0.6, 1)
+        d = random_digraph(int(label.split("-")[2]), 0.6, 1)
     ms = {}
 
     def timed(stage, call):

@@ -48,7 +48,8 @@ class EmergyGraph:
     indices ascending and `comp[v]` its strongly connected component
     (`components`). `acyclic` is true when every component is a single
     node. `tails` keeps each arc tail's `tail_table`, so every arc query on
-    the graph, a search or a listing, shares all of it.
+    the graph, a search or a listing, shares all of it, and `rules` keeps
+    what the search derives from that table (`solver.tail_rules`).
 
     The constructor rejects structural nonsense (self-loops, arcs touching
     undeclared nodes, emergy entries on non-sources); the semantic rules
@@ -83,6 +84,7 @@ class EmergyGraph:
         self.comp = comp = components(options)
         self.acyclic = max(comp, default=-1) + 1 == len(comp)
         self.tails: dict[int, tuple[list, list[int]]] = {}
+        self.rules: dict[int, tuple] = {}
 
     def __eq__(self, other):
         if other.__class__ is not EmergyGraph:

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .graph import EmergyGraph, NodeKind, ParseError, parse_id, tokenize
-from .solver import TailSearch
 
 
 class Digraph:
@@ -244,6 +243,8 @@ def reduction_counts(d: Digraph) -> PathCountVector:
     The length-2 digit is always zero (the shortest wrapped path has three
     arcs) and is asserted, not skipped.
     """
+    from .solver import TailSearch  # `gen` reads digraphs and solves nothing
+
     inst = build_reduction(d)
     num, den = TailSearch(inst.graph, d.target).entry(inst.source)[:2]
     vector = decode_counts(Fraction(num, den), inst.bound, len(d.vertices) + 1)

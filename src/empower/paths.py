@@ -11,9 +11,10 @@ reach the tail and closes dead nodes as the search does. It holds the
 search's entries: one per node on an acyclic graph, where the paths stream
 (`empower paths` peaks near 15 MB on the 262,144 paths of an 18-layer
 diamond chain), and on a graph with a cycle each source's tree of live
-prefixes, which on a split-only graph is the tree `solve --state` keeps
-(28 MB against its 33 MB on the 96,625 paths of the split-only reduction
-of `random_digraph(12, 0.6, 1)`).
+prefixes, which on a split-only graph is the tree `solve --state` keeps.
+In a dense component the tree shares an entry between the prefixes that
+hold the same nodes of the component, so on the 751,690 paths of the
+split-only reduction of `random_digraph(13, 0.6, 1)` it peaks at 17 MB.
 
 A listed path is an `EmergyPath`, defined in `empower.solver` next to the
 expansion that builds every one and imported here, so this module depends

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -375,6 +376,16 @@ class TestCountPathsCommand:
             out = capsys.readouterr().out
             assert out == ("dfs: 1\n" if method == "dfs" else "reduction: 1\ndfs: 1\n")
 
+    def test_dense_digraph(self, tmp_path, capsys):
+        """`random_digraph(13, 0.6, 1)`: 751,690 simple paths, which the
+        reduction counts by sharing entries inside its dense component."""
+        f = tmp_path / "dense.dg"
+        assert main(["gen", "--family", "random-digraph", "--nodes", "13",
+                     "--arc-prob", "0.6", "--seed", "1"]) == 0
+        f.write_text(capsys.readouterr().out)
+        assert main(["count-paths", str(f), "--method", "both"]) == 0
+        assert capsys.readouterr().out == "reduction: 751690\ndfs: 751690\n"
+
     def test_mismatch_exits_one(self, digraph_file, monkeypatch, capsys):
         monkeypatch.setattr(
             "empower.hardness.count_simple_paths",
@@ -693,6 +704,27 @@ def test_bench_script_offers_count_paths_and_the_workloads():
     assert suites == ["count-paths", *(w["name"] for w in benchmark["workloads"])]
 
 
+def test_parity_script_finds_a_tree_identical_to_itself(tmp_path):
+    """Two copies of this tree agree; a copy whose textbook has another
+    source emergy differs first on the textbook's graph."""
+    script = Path(__file__).parents[1] / "scripts" / "parity.py"
+    src = Path(empower.__file__).parents[1]
+    proc = run_fresh([str(script), "--src", f"a={src}", "--src", f"b={src}", "--seeds", "2"])
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "answers identical"
+    rows = [line.split() for line in lines[1:-1]]
+    assert [row[1] for row in rows] == ["a", "b"] * 7
+    assert all(a[0] == b[0] and a[2:] == b[2:] for a, b in zip(rows[::2], rows[1::2]))
+    shutil.copytree(src / "empower", tmp_path / "empower")
+    data = tmp_path / "empower" / "data" / "textbook.eg"
+    data.write_text(data.read_text().replace("node 1 source 100", "node 1 source 101"))
+    proc = subprocess.run([sys.executable, str(script), "--src", f"a={src}",
+                           "--src", f"b={tmp_path}", "--seeds", "1"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout.endswith("answers differ\n")
+    assert "  a: ('textbook seed 0 graph'," in proc.stdout
+
+
 class TestStartupImports:
     NOT_NEEDED = {"dataclasses", "empower.hardness", "empower.compat",
                   "empower.generators", "empower.dag"}
@@ -713,6 +745,11 @@ class TestStartupImports:
         loaded = modules_loaded_by(["gen", "--family", "random-dag"])
         assert "empower.generators" in loaded
         assert loaded & {"empower.hardness", "empower.compat", "empower.solver"} == set()
+
+    def test_gen_of_a_digraph_loads_no_solver(self):
+        loaded = modules_loaded_by(["gen", "--family", "random-digraph"])
+        assert "empower.hardness" in loaded
+        assert loaded & {"empower.solver", "empower.paths", "empower.compat"} == set()
 
     def test_imports_run_one_way(self):
         """The solver loads no listing, and the path type the listing

@@ -29,7 +29,7 @@ from empower.graph import (
     topological_order,
     validate_graph,
 )
-from empower.hardness import build_reduction
+from empower.hardness import build_reduction, count_simple_paths
 from empower.paths import EmergyPath, enumerate_emergy_paths, iter_emergy_paths
 from empower.solver import TailSearch, brute_force_solve, solve_general
 from helpers import (
@@ -278,15 +278,18 @@ class TestSolveGeneral:
                 assert result.stats.path_count == result.stats.witness_count == 2 ** 16
 
     def test_dead_nodes_stay_closed_while_their_path_stands(self):
-        """Under the prefix 1 -> 2, nodes 4 and 5 only lead back to 2: the
-        branch 2 -> 4 enters 4 and 5 and finds them dead, and the branch
-        2 -> 5 must not enter 5 (and 4 below it) again."""
+        """Under the prefix 1 -> 2, nodes 4 and 5 only lead back to 2: 2 is
+        4's immediate post-dominator and 4 is 5's. With 2 on the path the
+        branch 2 -> 4 gets no frame, and 5 gets one and enters neither 4
+        nor anything else. The frames are those of 1, 2 and 5."""
         g, arc = random_cyclic(7, 0.5, 2, 127), (3, 6)
         assert {(2, 4), (2, 5), (4, 2), (4, 5), (5, 4)} <= g.arcs.keys()
+        ipdom, index = TailSearch(g, 3).ipdom, g.index
+        assert (ipdom[index[4]], ipdom[index[5]]) == (index[2], index[4])
         result = solve_general(g, arc)
         value, witness, _ = trie_solve(g, arc)
         assert (result.value, result.witness.paths) == (value, witness)
-        assert result.stats.tree_nodes == 4
+        assert result.stats.tree_nodes == 3
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -624,6 +627,148 @@ class TestBeyondTheOracles:
                 g = reduction.graph
                 before = self.solved(g, None if n < 10 else [reduction.target_arc])
                 self.check_relabel(g, before, self.shuffled(g, seed))
+
+
+def dead_region_graph(k: int) -> tuple[EmergyGraph, tuple[int, int]]:
+    """Source 1 feeds split 2, which feeds split 3 and split 4, the query
+    arc's tail, with weight 1/2 each; 3 feeds 4 and split 5 alike. Splits 5
+    to k + 4 feed each other, and each feeds 2 (odd ids) or 3 (even ids)
+    back, with weight 1/k each; 4 feeds output k + 5. The arc's paths are
+    1,2,4 and 1,2,3,4, so its value is 3/4, and under the prefix 1,2,3 the
+    region is dead. Every way on from the region leaves through 2 or
+    through 3, so no node of it post-dominates another."""
+    region = range(5, k + 5)
+    out = k + 5
+    kinds = {1: NodeKind.SOURCE, out: NodeKind.OUTPUT,
+             **{v: NodeKind.SPLIT for v in (2, 3, 4, *region)}}
+    half, share = Fraction(1, 2), Fraction(1, k)
+    arcs = {(1, 2): Fraction(1), (2, 3): half, (2, 4): half, (3, 4): half, (3, 5): half,
+            (4, out): Fraction(1)}
+    for v in region:
+        arcs[v, 2 if v % 2 else 3] = share
+        arcs.update({(v, w): share for w in region if w != v})
+    return EmergyGraph(kinds, {1: Fraction(1)}, arcs), (4, out)
+
+
+def post_dominators(g: EmergyGraph, tail: int, w: int) -> set[int]:
+    """The nodes d != w of w's strongly connected component, among the nodes
+    that reach `tail` with the tail's own arcs cut, that every way from w to
+    the tail passes through: a search back from the tail without d does not
+    find w."""
+    succ = {v: () if v == tail else out for v, out in successors(g).items()}
+
+    def reaching(without: int | None) -> set[int]:
+        seen, todo = {tail}, [tail]
+        while todo:
+            x = todo.pop()
+            for v in succ:
+                if x in succ[v] and v not in seen and v != without:
+                    seen.add(v)
+                    todo.append(v)
+        return seen
+
+    live = reaching(None)
+    below = descendants({v: tuple(x for x in succ[v] if x in live) for v in live}, w)
+    comp = {v for v in below if w in descendants(succ, v)}
+    return {d for d in comp - {w} if w not in reaching(d)}
+
+
+class TestTailRules:
+    """The two rules the search derives per arc tail (`tail_rules`): skip
+    a successor whose post-dominator is closed, and share entries inside
+    dense components."""
+
+    def check_post_dominators(self, g: EmergyGraph):
+        for tail in sorted({t for t, _ in g.arcs}):
+            search = TailSearch(g, tail)
+            if search.ipdom is None:
+                assert g.acyclic or len(set(search.comp)) == len(search.comp)
+                continue
+            for v, d in enumerate(search.ipdom):
+                if search.comp.count(search.comp[v]) < 2:
+                    assert d == g.index[tail]
+                    continue
+                node, near = g.nodes[v], g.nodes[d]
+                found = post_dominators(g, tail, node)
+                if not found:
+                    assert near == tail
+                else:
+                    assert near in found and found - {near} <= post_dominators(g, tail, near)
+
+    @given(emergy_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_post_dominators_on_drawn_graphs(self, g):
+        self.check_post_dominators(g)
+
+    def test_post_dominators_on_cyclic_graphs(self):
+        graphs = cyclic_core_graphs()[:4] + [dead_region_graph(4)[0], load_textbook()]
+        graphs += [g for seed in range(12) for g in family_instances(seed) if not g.acyclic]
+        for g in graphs:
+            self.check_post_dominators(g)
+
+    def test_post_dominators_of_a_long_two_way_ring(self):
+        """Co-products 2 to 2,001 in a ring with arcs both ways, fed by
+        source 1: every way on from a node leaves through either neighbour
+        of the tail, so none has a post-dominator. An iterative dominator
+        algorithm takes a pass per node here."""
+        n = 2001
+        kinds = {1: NodeKind.SOURCE, **{v: NodeKind.COPRODUCT for v in range(2, n + 1)}}
+        arcs = {(1, 2): Fraction(1)}
+        for v in range(2, n + 1):
+            arcs[v, v + 1 if v < n else 2] = arcs[v, v - 1 if v > 2 else n] = Fraction(1, 2)
+        g = EmergyGraph(kinds, {1: Fraction(1)}, arcs)
+        tail = 1000
+        search = TailSearch(g, tail)
+        assert len(set(search.comp)) == 3
+        assert search.ipdom == [g.index[tail]] * len(g.nodes)
+        result = solve_general(g, (tail, tail + 1))
+        assert (result.stats.path_count, result.stats.witness_count) == (2, 1)
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_dead_marks_close_a_region_without_a_post_dominator(self, k):
+        """The dead marks, not the post-dominators, keep the region to one
+        frame per node: without them the search would enter every simple
+        path through it."""
+        g, arc = dead_region_graph(k)
+        assert validate_graph(g) == []
+        search = TailSearch(g, arc[0])
+        assert all(search.ipdom[g.index[v]] == g.index[arc[0]] for v in range(5, k + 5))
+        result = solve_general(g, arc)
+        value, witness, path_count = trie_solve(g, arc)
+        assert (result.value, result.witness.paths) == (value, witness)
+        assert (value, path_count) == (Fraction(3, 4), 2)
+        assert result.stats.tree_nodes <= k + 5
+
+    def test_dead_marks_close_a_large_region(self):
+        k = 60
+        g, arc = dead_region_graph(k)
+        result = solve_general(g, arc)
+        assert (result.value, result.stats.path_count) == (Fraction(3, 4), 2)
+        assert result.stats.tree_nodes <= k + 5
+
+    def test_dense_components_share_entries(self):
+        """The reduction of a dense digraph: 96,625 simple paths; without
+        the shared entries the search takes 101,547 frames."""
+        d = random_digraph(12, 0.6, 1)
+        inst = build_reduction(d)
+        search = TailSearch(inst.graph, d.target)
+        assert search.entry(inst.source)[2] == 96_625
+        assert search.frame_count < 4_000 and search.shared
+        assert count_simple_paths(d, "reduction") == count_simple_paths(d, "dfs")
+
+    @pytest.mark.parametrize("make", [
+        lambda: diamond_chain(12)[0], lambda: random_dag(30, 0.4, 0),
+        lambda: EmergyGraph({1: NodeKind.SOURCE, **{v: NodeKind.SPLIT for v in range(2, 200)}},
+                            {1: Fraction(1)},
+                            {(1, 2): Fraction(1), (199, 2): Fraction(1, 2),
+                             **{(v, v + 1): Fraction(1, 2) for v in range(2, 199)}})],
+        ids=["diamond-chain", "random-dag", "cycle"])
+    def test_tails_without_components_derive_nothing(self, make):
+        """An acyclic graph, and a cycle whose tail tables cut it open."""
+        g = make()
+        for arc in sorted(g.arcs):
+            solve_general(g, arc)
+        assert set(g.rules) == set(g.tails) and set(g.rules.values()) == {(None, None)}
 
 
 class TestPerGraphTables:
