@@ -47,9 +47,9 @@ class EmergyGraph:
     traversal in this package deterministic, `pred[v]` its predecessor
     indices ascending and `comp[v]` its strongly connected component
     (`components`). `acyclic` is true when every component is a single
-    node. `tails` keeps each arc tail's `tail_table`, so every arc query on
-    the graph, a search or a listing, shares all of it, and `rules` keeps
-    what the search derives from that table (`solver.tail_rules`).
+    node. `tails` keeps each arc tail's `solver.TailTable`, derived by
+    `solver.tail_table` on the first query with that tail, so every arc
+    query on the graph, a search or a listing, shares all of it.
 
     The constructor rejects structural nonsense (self-loops, arcs touching
     undeclared nodes, emergy entries on non-sources); the semantic rules
@@ -83,8 +83,7 @@ class EmergyGraph:
             pred[index[b]].append(index[a])
         self.comp = comp = components(options)
         self.acyclic = max(comp, default=-1) + 1 == len(comp)
-        self.tails: dict[int, tuple[list, list[int]]] = {}
-        self.rules: dict[int, tuple] = {}
+        self.tails: dict[int, tuple] = {}
 
     def __eq__(self, other):
         if other.__class__ is not EmergyGraph:
@@ -95,42 +94,6 @@ class EmergyGraph:
     def __repr__(self) -> str:
         return (f"EmergyGraph(kind={self.kind!r}, source_emergy={self.source_emergy!r}, "
                 f"arcs={self.arcs!r})")
-
-    def tail_table(self, tail: int) -> tuple[list, list[int]]:
-        """The graph a path search or listing toward arc tail index `tail`
-        walks, as (options, comp), derived on first use and kept.
-
-        `options[v]` are node index `v`'s successor options that can still
-        reach the tail; the tail's own are cut, because every path stops
-        there. So a walk over them never enters a node that cannot reach the
-        tail and never leaves the tail. `comp[v]` is the id of `v`'s strongly
-        connected component in that graph; the tail is a component alone.
-        """
-        found = self.tails.get(tail)
-        if found is None:
-            live = self.reaching(tail)
-            options = []
-            for v, succ in enumerate(self.options):
-                kept = [option for option in succ if live[option[0]]] if live[v] and v != tail else ()
-                # the tables are kept, so a node that keeps every option
-                # shares the graph's list instead of a copy
-                options.append(succ if len(kept) == len(succ) else kept)
-            found = self.tails[tail] = (options, components(options))
-        return found
-
-    def reaching(self, tail: int) -> list[bool]:
-        """For each node index, whether it has a directed path to index
-        `tail`; the tail itself does."""
-        pred = self.pred
-        seen = [False] * len(pred)
-        seen[tail] = True
-        frontier = [tail]
-        while frontier:
-            for p in pred[frontier.pop()]:
-                if not seen[p]:
-                    seen[p] = True
-                    frontier.append(p)
-        return seen
 
 
 def components(options: list[Sequence[tuple[int, int, int]]]) -> list[int]:

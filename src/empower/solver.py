@@ -18,13 +18,15 @@ and reads it back: on an acyclic graph that is every node, visited once.
 Inside a component it skips the successors on the current path, and those
 it found dead (with no way on to the tail) while the path they were found
 under stands. Two more rules there come from the structure of the tail's
-table, derived once per arc tail (`tail_rules`): it skips a successor whose
-immediate post-dominator in the component is on the path or found dead,
-and in a dense component it shares an entry between the paths that hold
-the same nodes of that component. Its cost there stays exponential
-(counting simple paths reduces to this problem, see `empower.hardness`).
-The search reads the index form `EmergyGraph` holds and its `tail_table`
-per arc tail.
+table: it skips a successor whose immediate post-dominator in the
+component is on the path or found dead, and in a dense component it shares
+an entry between the paths that hold the same nodes of that component. Its
+cost there stays exponential (counting simple paths reduces to this
+problem, see `empower.hardness`). The search reads the index form
+`EmergyGraph` holds and one `TailTable` per arc tail, which `tail_table`
+derives on the first query with that tail and keeps on the graph: the live
+options, their components, the post-dominators and the dense-component
+bits.
 
 The search is keyed on the arc tail alone. An emergy path of arc (t, h) is
 a simple path from a source to t followed by h, so the head never changes
@@ -71,7 +73,7 @@ from itertools import chain
 from math import gcd
 from typing import Callable, Iterator, NamedTuple
 
-from .graph import EmergyGraph, NodeKind, require_arc
+from .graph import EmergyGraph, NodeKind, components, require_arc
 
 
 class EmergyPath(NamedTuple):
@@ -150,11 +152,25 @@ _UNIT = (1, 1, 1, 1)
 _DEAD = (0, 1, 0, 0)
 
 
-def tail_rules(g: EmergyGraph, tail: int) -> tuple[list[int] | None, list[int] | None]:
-    """What the search toward tail index `tail` reads beside its tail table,
-    as (ipdom, bits), derived from that table on first use and kept on the
-    graph; both are None when every component of the table is a single
-    node, as on every acyclic graph.
+class TailTable(NamedTuple):
+    """The graph the search toward one arc tail walks, and the structure
+    its rules read (see `tail_table`)."""
+
+    options: list
+    comp: list[int]
+    ipdom: list[int] | None
+    bits: list[int] | None
+
+
+def tail_table(g: EmergyGraph, tail: int) -> TailTable:
+    """The table of arc tail index `tail`, derived on first use and kept in
+    `g.tails`, so every search and listing toward that tail shares it.
+
+    `options[v]` are node index `v`'s successor options that can still
+    reach the tail; the tail's own are cut, because every path stops there.
+    So a walk over them never enters a node that cannot reach the tail and
+    never leaves the tail. `comp[v]` is the id of `v`'s strongly connected
+    component in that graph; the tail is a component alone.
 
     `ipdom[w]` is w's immediate post-dominator within its component: the
     nearest node d != w of it that every way from w to the tail passes
@@ -163,30 +179,45 @@ def tail_rules(g: EmergyGraph, tail: int) -> tuple[list[int] | None, list[int] |
     the post-dominators are the dominators of the component's arcs
     reversed, rooted at the tail. `bits[w]` is w's bit in its component
     when that component is dense, with at least 3 arcs inside it per node,
-    and 0 otherwise.
+    and 0 otherwise. Both are None when every component is a single node,
+    as on every acyclic graph.
     """
-    found = g.rules.get(tail)
+    found = g.tails.get(tail)
     if found is not None:
         return found
-    options, comp = g.tail_table(tail)
-    if g.acyclic or max(comp) + 1 == len(comp):
-        found = g.rules[tail] = (None, None)
-        return found
-    ipdom, bits = [tail] * len(comp), [0] * len(comp)
-    members: list[list[int]] = [[] for _ in range(max(comp) + 1)]
-    for v, c in enumerate(comp):
-        members[c].append(v)
-    for nodes in members:
-        if len(nodes) < 2:
-            continue
-        here = comp[nodes[0]]
-        out = {v: {w if comp[w] == here else tail for w, _, _ in options[v]} for v in nodes}
-        for v, d in _dominators(out, tail).items():
-            ipdom[v] = d
-        if sum(len(ws) - (tail in ws) for ws in out.values()) >= 3 * len(nodes):
-            for i, v in enumerate(nodes):
-                bits[v] = 1 << i
-    found = g.rules[tail] = (ipdom, bits)
+    pred = g.pred
+    live = [False] * len(pred)
+    live[tail] = True
+    frontier = [tail]
+    while frontier:
+        for p in pred[frontier.pop()]:
+            if not live[p]:
+                live[p] = True
+                frontier.append(p)
+    options = []
+    for v, succ in enumerate(g.options):
+        kept = [option for option in succ if live[option[0]]] if live[v] and v != tail else ()
+        # the tables are kept, so a node that keeps every option shares the
+        # graph's list instead of a copy
+        options.append(succ if len(kept) == len(succ) else kept)
+    comp = components(options)
+    ipdom = bits = None
+    if not g.acyclic and max(comp) + 1 < len(comp):
+        ipdom, bits = [tail] * len(comp), [0] * len(comp)
+        members: list[list[int]] = [[] for _ in range(max(comp) + 1)]
+        for v, c in enumerate(comp):
+            members[c].append(v)
+        for nodes in members:
+            if len(nodes) < 2:
+                continue
+            here = comp[nodes[0]]
+            out = {v: {w if comp[w] == here else tail for w, _, _ in options[v]} for v in nodes}
+            for v, d in _dominators(out, tail).items():
+                ipdom[v] = d
+            if sum(len(ws) - (tail in ws) for ws in out.values()) >= 3 * len(nodes):
+                for i, v in enumerate(nodes):
+                    bits[v] = 1 << i
+    found = g.tails[tail] = TailTable(options, comp, ipdom, bits)
     return found
 
 
@@ -246,25 +277,25 @@ class TailSearch:
     """The path search toward one arc tail. It never reads an arc's head or
     weight, so its entries serve every arc out of the tail alike.
 
-    It walks the tail's table (`EmergyGraph.tail_table`): the options into
-    nodes that can reach the tail, and the strongly connected components of
-    the graph they form. Construction keeps the memo, which holds the tail's
-    unit entry and nothing else yet. The search runs on demand, once per
-    start node, and all start nodes share the memo and `shared`, the
-    entries of dense components (see `entry`). `expand` turns an entry into
-    its kept paths. On an acyclic graph it keeps in `runs`, per
-    node, one run per kept branch of each branching entry it meets, so that
-    table is bounded by the witness entries times the longest pass-through
-    stretch. Assumes a valid graph: positive weights, sources without
-    predecessors.
+    It walks the tail's table (`tail_table`) and keeps its fields
+    `options`, `comp`, `ipdom` and `bits`: the options into nodes that can
+    reach the tail, the strongly connected components of the graph they
+    form, and what the rules of `entry` read. Construction keeps the memo,
+    which holds the tail's unit entry and nothing else yet. The search runs
+    on demand, once per start node, and all start nodes share the memo and
+    `shared`, the entries of dense components (see `entry`). `expand` turns
+    an entry into its kept paths. On an acyclic graph it keeps in `runs`,
+    per node, one run per kept branch of each branching entry it meets, so
+    that table is bounded by the witness entries times the longest
+    pass-through stretch. Assumes a valid graph: positive weights, sources
+    without predecessors.
     """
 
     def __init__(self, g: EmergyGraph, tail: int):
         self.g = g
         tail = g.index[tail]
         # the search enters only nodes that reach the tail, and stops there
-        self.options, self.comp = g.tail_table(tail)
-        self.ipdom, self.bits = tail_rules(g, tail)
+        self.options, self.comp, self.ipdom, self.bits = tail_table(g, tail)
         # the entries inside dense components, per node and path mask
         self.shared: defaultdict[int, dict[int, tuple]] = defaultdict(dict)
         # the entries that do not depend on the path that led to their node:
@@ -305,9 +336,10 @@ class TailSearch:
         is dead on every path, so nothing is cleared between searches.
 
         Inside a component two rules from the table's structure cut more
-        (`tail_rules`). A successor w whose immediate post-dominator d is on
-        `on_path` gets no frame: every way on from w passes through d, which
-        is on the path or has no way on that avoids it. The tail stands for
+        (`TailTable.ipdom` and `.bits`). A successor w whose immediate
+        post-dominator d is on `on_path` gets no frame: every way on from w
+        passes through d, which is on the path or has no way on that avoids
+        it. The tail stands for
         "no post-dominator" and never enters `on_path`. The dead marks still
         close what no single node cuts off, such as a region whose ways on
         leave through two on-path nodes, which would otherwise be entered

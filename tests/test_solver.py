@@ -19,6 +19,7 @@ from empower.generators import (
     random_digraph,
 )
 import empower.graph
+import empower.solver
 from empower.fixtures import load_textbook
 from empower.graph import (
     EmergyGraph,
@@ -674,9 +675,9 @@ def post_dominators(g: EmergyGraph, tail: int, w: int) -> set[int]:
 
 
 class TestTailRules:
-    """The two rules the search derives per arc tail (`tail_rules`): skip
-    a successor whose post-dominator is closed, and share entries inside
-    dense components."""
+    """The two rules the search reads from the tail's table (`tail_table`):
+    skip a successor whose post-dominator is closed, and share entries
+    inside dense components."""
 
     def check_post_dominators(self, g: EmergyGraph):
         for tail in sorted({t for t, _ in g.arcs}):
@@ -768,7 +769,8 @@ class TestTailRules:
         g = make()
         for arc in sorted(g.arcs):
             solve_general(g, arc)
-        assert set(g.rules) == set(g.tails) and set(g.rules.values()) == {(None, None)}
+        assert set(g.tails) == {g.index[tail] for tail, _ in g.arcs}
+        assert {(table.ipdom, table.bits) for table in g.tails.values()} == {(None, None)}
 
 
 class TestPerGraphTables:
@@ -782,10 +784,12 @@ class TestPerGraphTables:
         ids=["textbook", "random-cyclic", "reduction", "diamond-chain-into-cycle"])
     def test_one_topological_order_per_graph(self, make, monkeypatch):
         """Construction makes the one structural pass (`components`) over
-        the whole graph; solving every arc twice adds one per arc tail and
-        no topological order. The answers and stats are those of a freshly
-        parsed graph."""
-        calls, tables = [], []
+        the whole graph; solving every arc twice adds one per arc tail, one
+        dominator pass per component of several nodes in each tail's table,
+        and no topological order. A node that keeps every option shares the
+        graph's list. The answers and stats are those of a freshly parsed
+        graph."""
+        calls, tables, dominated = [], [], []
 
         def counted(g):
             calls.append(g)
@@ -795,18 +799,33 @@ class TestPerGraphTables:
             tables.append(options)
             return components(options)
 
+        def counted_dominators(out, root):
+            dominated.append(root)
+            return dominators(out, root)
+
         made = make()
+        dominators = empower.solver._dominators
         monkeypatch.setattr(empower.graph, "topological_order", counted)
         monkeypatch.setattr(empower.graph, "components", counted_components)
+        monkeypatch.setattr(empower.solver, "components", counted_components)
+        monkeypatch.setattr(empower.solver, "_dominators", counted_dominators)
         g = EmergyGraph(made.kind, made.source_emergy, made.arcs)
         assert len(tables) == 1 and tables[0] is g.options
-        arcs = sorted(g.arcs) * 2
+        arcs = sorted(g.arcs)
         shared = [solve_general(g, arc) for arc in arcs]
+        first = len(dominated)
+        shared += [solve_general(g, arc) for arc in arcs]
         assert calls == []
+        multi = sum(sum(table.comp.count(c) > 1 for c in set(table.comp))
+                    for table in g.tails.values())
+        assert first == len(dominated) == multi
         tails = {g.index[tail] for tail, _ in arcs}
         assert len(tables) == 1 + len(tails) and set(g.tails) == tails
+        for table in g.tails.values():
+            for mine, whole in zip(table.options, g.options):
+                assert mine is whole or len(mine) < len(whole)
         text = serialize_graph(g)
-        for arc, result in zip(arcs, shared):
+        for arc, result in zip(arcs * 2, shared):
             fresh = solve_general(parse_graph(text), arc)
             assert result.value == fresh.value
             assert result.witness.paths == fresh.witness.paths
