@@ -21,6 +21,14 @@ suites:
   longest, and `random_digraph(12, 0.6, 1)` and `random_digraph(13, 0.6, 1)`,
   with 96,625 and 751,690 simple paths, whose reductions are dense. Every
   run must decode the count the DFS finds, and the sides must count alike.
+- `load` (5 repeats): the stages that read an instance file. On each file,
+  one process times one `graph.parse_graph` call (the `EmergyGraph`
+  construction included) and one `graph.validate_graph` call by wall
+  clock, and one more process, `python -m empower.cli validate FILE`, is
+  timed whole from here; it must exit 0 with empty stdout. The files are a
+  3,000-node chain this script writes (one source, splits in a line, one
+  output, every weight 1) and the output of `empower gen --family
+  random-cyclic --nodes 1000 --seed 1` under the first side, 200,022 lines.
 - one suite per workload of BENCHMARK.json (`cli-queries`,
   `acyclic-explosion`, `cyclic-core`; 10 repeats): each side's package is
   copied into a temporary tree next to this checkout's `perfbench/`, and
@@ -51,6 +59,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from functools import partial
 from pathlib import Path
 
@@ -65,6 +74,11 @@ INSTANCES = {
     "random-digraph-13": "generators.random_digraph(13, 0.6, 1), start 1, target 13",
 }
 STAGES = ("build_reduction", "solve_general", "decode_counts", "dfs_count")
+LOAD_FILES = {
+    "chain-3000": "source 1 (emergy 7/3), splits 2-2999 in a line, output 3000, weights 1",
+    "random-cyclic-1000": "empower gen --family random-cyclic --nodes 1000 --seed 1",
+}
+LOAD_STAGES = ("parse_graph_ms", "validate_graph_ms", "validate_process_ms")
 
 
 def run(argv: list[str], pythonpath: Path, write_bytecode: bool = False) -> str:
@@ -107,7 +121,6 @@ def table(corner: str, columns: list[str], rows: dict[str, list[float]]) -> None
 
 def count_paths_child(label: str) -> None:
     """Time one instance with the `empower` on the path; print a JSON line."""
-    import time
     import tracemalloc
 
     from empower.generators import random_digraph
@@ -187,6 +200,71 @@ def count_paths(sides: dict[str, Path], repeats: int) -> dict:
     }
 
 
+def load_child(path: str) -> None:
+    """Time one parse and one validation of the file at `path`; print a JSON line."""
+    from empower.graph import parse_graph, validate_graph
+
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    started = time.perf_counter()
+    g = parse_graph(text)
+    parsed = time.perf_counter()
+    report = validate_graph(g)
+    done = time.perf_counter()
+    print(json.dumps({"parse_graph_ms": (parsed - started) * 1000,
+                      "validate_graph_ms": (done - parsed) * 1000, "violations": len(report)}))
+
+
+def load(sides: dict[str, Path], repeats: int) -> dict:
+    ms = {(name, label): {stage: [] for stage in LOAD_STAGES}
+          for name in sides for label in LOAD_FILES}
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {label: Path(tmp) / f"{label}.eg" for label in LOAD_FILES}
+        files["chain-3000"].write_text("".join(
+            ["node 1 source 7/3\n", *(f"node {i} split\n" for i in range(2, 3000)),
+             "node 3000 output\n", *(f"arc {i} {i + 1} 1\n" for i in range(1, 3000))]))
+        files["random-cyclic-1000"].write_text(run(
+            [sys.executable, "-m", "empower.cli", "gen", "--family", "random-cyclic",
+             "--nodes", "1000", "--seed", "1"], next(iter(sides.values()))))
+        for r in range(repeats):
+            for name in rotated(list(sides), r):
+                for label, file in files.items():
+                    out = json.loads(run([sys.executable, __file__, "load", "--child", str(file)],
+                                         sides[name]).splitlines()[-1])
+                    if out["violations"]:
+                        raise SystemExit(f"{label} under {sides[name]}: {out['violations']} "
+                                         "violations in a valid file")
+                    started = time.perf_counter()
+                    stdout = run([sys.executable, "-m", "empower.cli", "validate", str(file)],
+                                 sides[name])
+                    out["validate_process_ms"] = (time.perf_counter() - started) * 1000
+                    if stdout:
+                        raise SystemExit(f"{label} under {sides[name]}: "
+                                         f"validate printed {stdout[:200]!r}")
+                    for stage in LOAD_STAGES:
+                        ms[name, label][stage].append(out[stage])
+        lines = {label: len(file.read_text().splitlines()) for label, file in files.items()}
+    results = {name: {label: {"lines": lines[label], **{
+        stage: summary(ms[name, label][stage]) for stage in LOAD_STAGES}}
+        for label in LOAD_FILES} for name in sides}
+    table("file stage", list(sides), {
+        f"{label} {stage}": [results[name][label][stage]["median"] for name in sides]
+        for label in LOAD_FILES for stage in LOAD_STAGES})
+    return {
+        "metric": "wall time per stage, ms: median and quartiles over the repeats",
+        "repeats": repeats,
+        "files": LOAD_FILES,
+        "stages": {
+            "parse_graph_ms": "graph.parse_graph(text) in a fresh process, the EmergyGraph "
+                              "construction (index form, Tarjan pass) included",
+            "validate_graph_ms": "graph.validate_graph(g) in the same process",
+            "validate_process_ms": "one `python -m empower.cli validate FILE` process, "
+                                   "timed from start to exit by the parent",
+        },
+        "results": results,
+    }
+
+
 def perfbench(workload: str, sides: dict[str, Path], repeats: int) -> dict:
     seconds = BENCHMARK["run_seconds"]
     metrics = BENCHMARK["end_to_end"]
@@ -248,7 +326,7 @@ def perfbench(workload: str, sides: dict[str, Path], repeats: int) -> dict:
 
 
 # suite -> (function, default repeats)
-SUITES = {"count-paths": (count_paths, 5),
+SUITES = {"count-paths": (count_paths, 5), "load": (load, 5),
           **{w["name"]: (partial(perfbench, w["name"]), 10) for w in BENCHMARK["workloads"]}}
 
 
@@ -263,11 +341,11 @@ def main() -> None:
     parser.add_argument("--src", action="append", metavar="[NAME=]DIR",
                         help="a directory holding the empower package; repeat to compare")
     parser.add_argument("--repeats", type=int,
-                        help="5 for count-paths, 10 for a perfbench workload")
-    parser.add_argument("--child", choices=INSTANCES, help=argparse.SUPPRESS)
+                        help="5 for count-paths and load, 10 for a perfbench workload")
+    parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        count_paths_child(args.child)
+        (load_child if args.suite == "load" else count_paths_child)(args.child)
         return
     suite, default_repeats = SUITES[args.suite]
     repeats = default_repeats if args.repeats is None else args.repeats

@@ -15,6 +15,10 @@ SHA-256 digest per family and tree:
   with their `Fraction` values;
 - per arc tail: the listing of its smallest arc;
 - `validate_graph`'s report on each graph and on two broken copies of it;
+- the parse outcome of four copies of each graph's (or digraph's)
+  serialized text, each with one token, drawn by a generator seeded with
+  the family and seed, replaced or deleted: the parsed graph's
+  serialization, or the `ParseError`'s line, column and message;
 - `reduction_counts` of each counting instance;
 - the stdout bytes and exit code of `cli.main` over a fixed grid of
   commands and options, on files written from the first two seeds.
@@ -33,6 +37,7 @@ import contextlib
 import hashlib
 import importlib
 import io
+import random
 import shutil
 import sys
 import tempfile
@@ -53,6 +58,8 @@ COUNT_GRID = [["count-paths", "{file}", "--method", method]
               for method in ("reduction", "dfs", "both")]
 GEN_FAMILIES = ("diamond-chain", "random-dag", "random-cyclic", "random-digraph", "reduction")
 CLI_SEEDS = 2
+# what replaces the drawn token of a serialized text; None deletes it
+REPLACEMENTS = [None, "0", "7", "-1", "1/0", "1/2/3", "x", "\uff13", "split", "arc", "edge"]
 
 
 def graphs(pkg, family: str, seed: int):
@@ -93,6 +100,25 @@ def cli(pkg, argv: list[str], workdir: Path) -> str:
     return f"exit {code} stdout {hashlib.sha256(text.encode()).hexdigest()}"
 
 
+def parse_outcomes(pkg, parse, serialize, text: str, rng: random.Random) -> list[str]:
+    """Four copies of `text`, each with one token replaced or deleted, and
+    the serialization `parse` gives back or its ParseError's position."""
+    error = importlib.import_module(f"{pkg}.graph").ParseError
+    lines = [line.split() for line in text.splitlines()]
+    out = []
+    for _ in range(4):
+        n = rng.randrange(len(lines))
+        k, new = rng.randrange(len(lines[n])), rng.choice(REPLACEMENTS)
+        copy = [*lines[:n], lines[n][:k] + ([] if new is None else [new]) + lines[n][k + 1:],
+                *lines[n + 1:]]
+        try:
+            outcome = serialize(parse("\n".join(" ".join(line) for line in copy)))
+        except error as refusal:
+            outcome = repr((refusal.line, refusal.column, str(refusal)))
+        out.append(f"line {n + 1} token {k} -> {new!r}: {outcome}")
+    return out
+
+
 def answers(pkg, family: str, seeds: int, workdir: Path) -> tuple[list, int]:
     """Every (query, answer) of `family` from tree `pkg`, in a fixed order,
     and the search's frames summed over the arc queries."""
@@ -107,6 +133,9 @@ def answers(pkg, family: str, seeds: int, workdir: Path) -> tuple[list, int]:
         if family == "random-digraph":
             d = gen.random_digraph(7, 0.5, seed)
             out.append((f"{at} reduction_counts", repr(tuple(hardness.reduction_counts(d)))))
+            out.append((f"{at} parse", parse_outcomes(
+                pkg, hardness.parse_digraph, hardness.serialize_digraph,
+                hardness.serialize_digraph(d), random.Random(at))))
             if seed < CLI_SEEDS:
                 file = workdir / f"{family}-{seed}.dg"
                 file.write_text(hardness.serialize_digraph(d), encoding="utf-8")
@@ -119,6 +148,8 @@ def answers(pkg, family: str, seeds: int, workdir: Path) -> tuple[list, int]:
             out.append((at, g))
             continue
         out.append((f"{at} graph", graph.serialize_graph(g)))
+        out.append((f"{at} parse", parse_outcomes(pkg, graph.parse_graph, graph.serialize_graph,
+                                                  graph.serialize_graph(g), random.Random(at))))
         arcs = sorted(g.arcs)
         first = next(iter(arcs))
         broken = [g.arcs, {**g.arcs, first: g.arcs[first] * 2},

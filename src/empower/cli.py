@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # exact values can have more digits than `str` gives by default; numbers
-    # read from files keep their own bound (`graph._to_int`)
+    # read from files keep their own bound (`graph._MAX_DIGITS`, checked
+    # before `int` runs by `graph.read_id` and the rational reader)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -4,7 +4,8 @@ An emergy graph is a directed graph whose nodes are sources (each feeding
 exactly one node), splits (outgoing weights sum to 1), co-products (every
 outgoing weight is 1, at least two successors), and outputs (sinks). All
 weights and source emergies are exact rationals; nothing in the solvers ever
-touches floating point.
+touches floating point. A file is read in one pass, an error's column found
+only when it is raised, and validated on integer weight pairs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from itertools import islice
+from math import gcd
+from typing import Iterator, NamedTuple, Sequence
 
 
 class NodeKind(Enum):
@@ -51,21 +54,23 @@ class EmergyGraph:
     `solver.tail_table` on the first query with that tail, so every arc
     query on the graph, a search or a listing, shares all of it.
 
-    The constructor rejects structural nonsense (self-loops, arcs touching
-    undeclared nodes, emergy entries on non-sources); the semantic rules
-    (weight sums, degrees, ranges) are reported by `validate_graph`.
+    The constructor keeps each weight and emergy given as a `Fraction` and
+    converts any other number. It rejects structural nonsense (self-loops,
+    arcs touching undeclared nodes, emergy entries on non-sources); the
+    semantic rules (weight sums, degrees, ranges) are `validate_graph`'s.
     """
 
     def __init__(self, kind: dict[int, NodeKind], source_emergy: dict[int, Fraction],
                  arcs: dict[tuple[int, int], Fraction]):
-        self.kind = kind
-        self.source_emergy = {i: Fraction(v) for i, v in source_emergy.items()}
-        self.arcs = {a: Fraction(w) for a, w in arcs.items()}
+        self.kind, source = kind, NodeKind.SOURCE
+        self.source_emergy = {i: v if v.__class__ is Fraction else Fraction(v)
+                              for i, v in source_emergy.items()}
+        self.arcs = {a: w if w.__class__ is Fraction else Fraction(w) for a, w in arcs.items()}
         for i in self.source_emergy:
-            if kind.get(i) is not NodeKind.SOURCE:
+            if kind.get(i) is not source:
                 raise ValueError(f"emergy given for non-source node {i}")
         for s, k in kind.items():
-            if k is NodeKind.SOURCE and s not in self.source_emergy:
+            if k is source and s not in self.source_emergy:
                 raise ValueError(f"source node {s} has no emergy")
         for (a, b) in self.arcs:
             if a == b:
@@ -75,7 +80,7 @@ class EmergyGraph:
         self.nodes = nodes = tuple(sorted(kind))
         self.index = index = {v: i for i, v in enumerate(nodes)}
         self.kinds = [kind[v] for v in nodes]
-        self.sources = tuple(i for i in nodes if kind[i] is NodeKind.SOURCE)
+        self.sources = tuple(i for i in nodes if kind[i] is source)
         self.options = options = [[] for _ in nodes]
         self.pred = pred = [[] for _ in nodes]
         for (a, b), w in sorted(self.arcs.items()):
@@ -157,52 +162,62 @@ def require_arc(g: EmergyGraph, arc: tuple[int, int]) -> tuple[int, int]:
     return arc
 
 
-# ASCII digits only: `\d` and `str.isdigit` also accept characters such as
-# '²' or '３' that `int` then refuses or silently reads as digits.
-_ID = re.compile(r"[0-9]+")
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
 # the most digits a number in a file may have, read or written: the
 # interpreter's default int-string limit, which `cli.main` lifts so that exact
 # results print whole
 _MAX_DIGITS = 4300
 _TOO_LONG = 10 ** _MAX_DIGITS
+_KINDS = {k.value: k for k in NodeKind}
 
 
-def _to_int(text: str, what: str, line: int, col: int) -> int:
-    if len(text.lstrip("+-")) > _MAX_DIGITS:
-        raise ParseError(f"{what} {text[:20]}... is too long", line, col)
-    return int(text)
+class TokenError(Exception):
+    """(message, k): an error at token `k` (from 0) of the line being read."""
+
+    def at(self, line: int, raw: str) -> ParseError:
+        """The error at line `line`, whose text is `raw`: the one place columns are found."""
+        message, k = self.args  # `raw`'s k-th token starts where the k-th before '#' does
+        return ParseError(message, line, [*re.finditer(r"\S+", raw)][k].start() + 1)
 
 
-def _parse_rational(token: str, line: int, col: int) -> Fraction:
-    m = _RATIONAL.fullmatch(token)
-    if not m:
-        raise ParseError(f"expected a rational, got {token!r}", line, col)
-    num = _to_int(m.group(1), "numerator", line, col)
-    if m.group(2) is None:
-        return Fraction(num)
-    den = _to_int(m.group(2), "denominator", line, col)
-    if den == 0:
-        raise ParseError("denominator must be a positive integer", line, col)
-    return Fraction(num, den)
+def token_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, line, tokens) for each line with tokens: the text before
+    '#' split at whitespace (`str.split` and `re`'s `\\s` agree on it)."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.partition("#")[0].split()
+        if tokens:
+            yield lineno, raw, tokens
+
+
+def read_id(token: str, what: str, k: int) -> int:
+    """Token `k` as a node or vertex id: ASCII digits only (`str.isdigit` also takes '²')."""
+    if not (token.isascii() and token.isdigit()):
+        raise TokenError(f"expected a {what}, got {token!r}", k)
+    if len(token) > _MAX_DIGITS:
+        raise TokenError(f"{what} {token[:20]}... is too long", k)
+    return int(token)
+
+
+def _rational(token: str, k: int) -> Fraction:
+    """Token `k` as `[+-]digits[/digits]`, ASCII digits, denominator positive."""
+    num, slash, den = token.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if not ((digits + den).isascii() and digits.isdigit() and (den.isdigit() or not slash)):
+        raise TokenError(f"expected a rational, got {token!r}", k)
+    if len(digits) > _MAX_DIGITS:
+        raise TokenError(f"numerator {num[:20]}... is too long", k)
+    if len(den) > _MAX_DIGITS:
+        raise TokenError(f"denominator {den[:20]}... is too long", k)
+    if slash and not den.strip("0"):
+        raise TokenError("denominator must be a positive integer", k)
+    return Fraction(int(num), int(den or 1))
 
 
 def parse_id(token: str, what: str, line: int, col: int) -> int:
     """A node or vertex id: ASCII digits only, else a ParseError."""
-    if not _ID.fullmatch(token):
-        raise ParseError(f"expected a {what}, got {token!r}", line, col)
-    return _to_int(token, what, line, col)
-
-
-def tokenize(text: str) -> Iterable[tuple[int, list[tuple[str, int]]]]:
-    """Yield (line number, [(token, column), ...]) skipping blanks and comments."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0]
-        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", content)]
-        if tokens:
-            yield lineno, tokens
+    try:
+        return read_id(token, what, 0)
+    except TokenError as error:
+        raise ParseError(error.args[0], line, col) from None
 
 
 def parse_graph(text: str) -> EmergyGraph:
@@ -214,56 +229,55 @@ def parse_graph(text: str) -> EmergyGraph:
 
     '#' starts a comment, blank lines are ignored. Raises ParseError on
     syntax problems, duplicate declarations, self-loops, or arcs touching
-    undeclared nodes. Semantic rules are left to `validate_graph`.
+    undeclared nodes. Semantic rules are left to `validate_graph`. Each
+    line is split once, and a node's id token and each distinct weight
+    token are read once; an error's column is found when it is raised.
     """
     kinds: dict[int, NodeKind] = {}
     emergy: dict[int, Fraction] = {}
     arcs: dict[tuple[int, int], Fraction] = {}
-    arc_sites: list[tuple[tuple[int, int], int, int]] = []
-
-    for lineno, tokens in tokenize(text):
-        word, col = tokens[0]
-        if word == "node":
-            if len(tokens) < 3:
-                raise ParseError("node line needs an id and a kind", lineno, col)
-            nid = parse_id(tokens[1][0], "node id", lineno, tokens[1][1])
-            kind_tok, kind_col = tokens[2]
-            try:
-                kind = NodeKind(kind_tok)
-            except ValueError:
-                raise ParseError(f"unknown node kind {kind_tok!r}", lineno, kind_col) from None
-            if nid in kinds:
-                raise ParseError(f"duplicate node id {nid}", lineno, tokens[1][1])
-            if kind is NodeKind.SOURCE:
+    ids, weights, source = {}, {}, NodeKind.SOURCE  # token -> int, token -> Fraction
+    try:
+        for lineno, raw, tokens in token_lines(text):
+            word = tokens[0]
+            if word == "arc":
                 if len(tokens) != 4:
-                    raise ParseError("source node needs an emergy value", lineno, kind_col)
-                emergy[nid] = _parse_rational(tokens[3][0], lineno, tokens[3][1])
+                    raise TokenError("arc line needs <from> <to> <weight>", 0)
+                _, ta, tb, tw = tokens
+                a = ids.get(ta) or read_id(ta, "node id", 1)
+                b = ids.get(tb) or read_id(tb, "node id", 2)
+                w = weights.get(tw) or weights.setdefault(tw, _rational(tw, 3))
+                if a == b:
+                    raise TokenError(f"self-loop arc ({a}, {b})", 1)
+                if (a, b) in arcs:
+                    raise TokenError(f"duplicate arc ({a}, {b})", 1)
+                arcs[a, b] = w
+            elif word == "node":
+                if len(tokens) < 3:
+                    raise TokenError("node line needs an id and a kind", 0)
+                nid = ids[tokens[1]] = read_id(tokens[1], "node id", 1)
+                kind = _KINDS.get(tokens[2])
+                if kind is None:
+                    raise TokenError(f"unknown node kind {tokens[2]!r}", 2)
+                if nid in kinds:
+                    raise TokenError(f"duplicate node id {nid}", 1)
+                if kind is source:
+                    if len(tokens) != 4:
+                        raise TokenError("source node needs an emergy value", 2)
+                    emergy[nid] = _rational(tokens[3], 3)
+                elif len(tokens) != 3:
+                    raise TokenError(f"{tokens[2]} node takes no value", 3)
+                kinds[nid] = kind
             else:
-                if len(tokens) != 3:
-                    raise ParseError(
-                        f"{kind_tok} node takes no value", lineno, tokens[3][1])
-            kinds[nid] = kind
-        elif word == "arc":
-            if len(tokens) != 4:
-                raise ParseError("arc line needs <from> <to> <weight>", lineno, col)
-            a = parse_id(tokens[1][0], "node id", lineno, tokens[1][1])
-            b = parse_id(tokens[2][0], "node id", lineno, tokens[2][1])
-            w = _parse_rational(tokens[3][0], lineno, tokens[3][1])
-            if a == b:
-                raise ParseError(f"self-loop arc ({a}, {b})", lineno, tokens[1][1])
-            if (a, b) in arcs:
-                raise ParseError(f"duplicate arc ({a}, {b})", lineno, tokens[1][1])
-            arcs[(a, b)] = w
-            arc_sites.append(((a, b), lineno, tokens[1][1]))
-        else:
-            raise ParseError(f"expected 'node' or 'arc', got {word!r}", lineno, col)
-
-    for (a, b), lineno, col in arc_sites:
-        for endpoint in (a, b):
-            if endpoint not in kinds:
-                raise ParseError(f"undeclared node {endpoint}", lineno, col)
-
-    return EmergyGraph(kinds, emergy, arcs)
+                raise TokenError(f"expected 'node' or 'arc', got {word!r}", 0)
+    except TokenError as error:
+        raise error.at(lineno, raw) from None
+    try:
+        return EmergyGraph(kinds, emergy, arcs)
+    except ValueError:  # an undeclared node: the n-th arc, in file order, is the first to name one
+        n, end = next((n, end) for n, arc in enumerate(arcs) for end in arc if end not in kinds)
+        lineno, raw, _ = next(islice((t for t in token_lines(text) if t[2][0] == "arc"), n, None))
+        raise TokenError(f"undeclared node {end}", 1).at(lineno, raw) from None
 
 
 def _rational_text(x: Fraction) -> str:
@@ -278,15 +292,9 @@ def serialize_graph(g: EmergyGraph) -> str:
 
     Raises ValueError for a number longer than `parse_graph` reads back.
     """
-    lines = []
-    for i in g.nodes:
-        k = g.kind[i]
-        if k is NodeKind.SOURCE:
-            lines.append(f"node {i} source {_rational_text(g.source_emergy[i])}")
-        else:
-            lines.append(f"node {i} {k.value}")
-    for (a, b) in sorted(g.arcs):
-        lines.append(f"arc {a} {b} {_rational_text(g.arcs[(a, b)])}")
+    lines = [f"node {i} source {_rational_text(g.source_emergy[i])}" if i in g.source_emergy
+             else f"node {i} {g.kind[i].value}" for i in g.nodes]
+    lines += [f"arc {a} {b} {_rational_text(w)}" for (a, b), w in sorted(g.arcs.items())]
     return "\n".join(lines) + "\n"
 
 
@@ -295,58 +303,50 @@ def validate_graph(g: EmergyGraph) -> list[Violation]:
 
     Violations are data, not exceptions: callers decide whether a broken
     graph is fatal. The report order is deterministic (nodes ascending,
-    then arcs ascending).
+    then arcs ascending). The rules read the integer pairs of `g.options`,
+    exact split sums included; a message's `Fraction` is made for it.
     """
     report: list[Violation] = []
-    one = Fraction(1)
-    for v, i in enumerate(g.nodes):
-        k = g.kind[i]
-        out = [g.nodes[w] for w, _, _ in g.options[v]]
-        if k is NodeKind.SOURCE:
-            if g.source_emergy[i] <= 0:
-                report.append(Violation(
-                    "emergy-range", i,
-                    f"source {i} emergy {g.source_emergy[i]} is not positive"))
+    ranges: list[Violation] = []  # weight-range, reported after every node's rules
+    source, split, coproduct, output = NodeKind
+    add = report.append
+    nodes, emergy = g.nodes, g.source_emergy
+    for v, (i, k, out) in enumerate(zip(nodes, g.kinds, g.options)):
+        if k is source:
+            if emergy[i] <= 0:
+                add(Violation("emergy-range", i, f"source {i} emergy {emergy[i]} is not positive"))
             if len(out) != 1:
-                report.append(Violation(
-                    "source-degree", i,
-                    f"source {i} has {len(out)} successors, needs exactly 1"))
+                add(Violation("source-degree", i,
+                              f"source {i} has {len(out)} successors, needs exactly 1"))
             if g.pred[v]:
-                report.append(Violation(
-                    "source-pred", i,
-                    f"source {i} has predecessors {[g.nodes[u] for u in g.pred[v]]}"))
-        elif k is NodeKind.OUTPUT:
+                add(Violation("source-pred", i,
+                              f"source {i} has predecessors {[nodes[u] for u in g.pred[v]]}"))
+        elif k is output:
             if out:
-                report.append(Violation(
-                    "output-succ", i, f"output {i} has successors {out}"))
-        else:
-            if not out:
-                report.append(Violation(
-                    "dead-intermediate", i,
-                    f"{k.value} node {i} has no successors"))
-        if k in (NodeKind.SOURCE, NodeKind.SPLIT) and out:
-            total = sum((g.arcs[(i, j)] for j in out), Fraction(0))
-            if total != one:
-                report.append(Violation(
-                    "split-sum", i,
-                    f"{k.value} {i} outgoing weights sum to {total}, not 1"))
-        if k is NodeKind.COPRODUCT:
-            if len(out) < 2:
-                report.append(Violation(
-                    "coproduct-degree", i,
-                    f"co-product {i} has {len(out)} successors, needs at least 2"))
-            for j in out:
-                if g.arcs[(i, j)] != one:
-                    report.append(Violation(
-                        "coproduct-weight", (i, j),
-                        f"co-product arc ({i}, {j}) has weight {g.arcs[(i, j)]}, not 1"))
-    for (a, b) in sorted(g.arcs):
-        w = g.arcs[(a, b)]
-        if not 0 < w <= 1:
-            report.append(Violation(
-                "weight-range", (a, b),
-                f"arc ({a}, {b}) weight {w} is outside (0, 1]"))
-    return report
+                add(Violation("output-succ", i,
+                              f"output {i} has successors {[nodes[w] for w, _, _ in out]}"))
+        elif not out:
+            add(Violation("dead-intermediate", i, f"{k.value} node {i} has no successors"))
+        if k is coproduct and len(out) < 2:
+            add(Violation("coproduct-degree", i,
+                          f"co-product {i} has {len(out)} successors, needs at least 2"))
+        total, common = 0, 1  # the weights so far add up to total / common
+        for w, num, den in out:
+            if den != common:
+                lcm = common // gcd(common, den) * den
+                total, common = total * (lcm // common), lcm
+            total += num * (common // den)
+            j = nodes[w]
+            if k is coproduct and (num != 1 or den != 1):
+                add(Violation("coproduct-weight", (i, j),
+                              f"co-product arc ({i}, {j}) has weight {g.arcs[i, j]}, not 1"))
+            if not 0 < num <= den:
+                ranges.append(Violation("weight-range", (i, j),
+                                        f"arc ({i}, {j}) weight {g.arcs[i, j]} is outside (0, 1]"))
+        if out and total != common and (k is source or k is split):
+            add(Violation("split-sum", i, f"{k.value} {i} outgoing weights sum to "
+                                          f"{Fraction(total, common)}, not 1"))
+    return report + ranges
 
 
 class TopoResult(NamedTuple):

@@ -19,7 +19,10 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .graph import EmergyGraph, NodeKind, ParseError, parse_id, tokenize
+from .graph import EmergyGraph, NodeKind, ParseError, TokenError, read_id, token_lines
+
+
+_ARITY = {"vertex": 1, "edge": 2, "start": 1, "target": 1}
 
 
 class Digraph:
@@ -97,45 +100,50 @@ def parse_digraph(text: str) -> Digraph:
     arcs: set[tuple[int, int]] = set()
     start: int | None = None
     target: int | None = None
-    # the line and column where an edge, start or target line first names each vertex
+    # the line and token where an edge, start or target line first names each vertex
     sites: dict[int, tuple[int, int]] = {}
-    for lineno, tokens in tokenize(text):
-        word, col = tokens[0]
-        arity = {"vertex": 1, "edge": 2, "start": 1, "target": 1}.get(word)
-        if arity is None:
-            raise ParseError(f"unrecognized line {word!r}", lineno, col)
-        if len(tokens) != arity + 1:
-            raise ParseError(f"{word} line needs {arity} vertex id(s)", lineno, col)
-        ids = [parse_id(tok, "vertex id", lineno, tcol) for tok, tcol in tokens[1:]]
-        if word == "vertex":
-            if ids[0] in vertices:
-                raise ParseError(f"duplicate vertex {ids[0]}", lineno, col)
-            vertices.add(ids[0])
-            continue
-        for v, (_, tcol) in zip(ids, tokens[1:]):
-            sites.setdefault(v, (lineno, tcol))
-        if word == "edge":
-            pair = (ids[0], ids[1])
-            if pair[0] == pair[1]:
-                raise ParseError(f"self-loop edge ({pair[0]}, {pair[1]})", lineno, col)
-            if pair in arcs:
-                raise ParseError(f"duplicate edge {pair}", lineno, col)
-            arcs.add(pair)
-        elif word == "start":
-            if start is not None:
-                raise ParseError("duplicate start line", lineno, col)
-            start = ids[0]
-        elif word == "target":
-            if target is not None:
-                raise ParseError("duplicate target line", lineno, col)
-            target = ids[0]
-        if start is not None and start == target:
-            raise ParseError("start and target must differ", lineno, tokens[1][1])
+    try:
+        for lineno, raw, tokens in token_lines(text):
+            word = tokens[0]
+            arity = _ARITY.get(word)
+            if arity is None:
+                raise TokenError(f"unrecognized line {word!r}", 0)
+            if len(tokens) != arity + 1:
+                raise TokenError(f"{word} line needs {arity} vertex id(s)", 0)
+            ids = [read_id(tokens[k], "vertex id", k) for k in range(1, arity + 1)]
+            if word == "vertex":
+                if ids[0] in vertices:
+                    raise TokenError(f"duplicate vertex {ids[0]}", 0)
+                vertices.add(ids[0])
+                continue
+            for k, v in enumerate(ids, start=1):
+                sites.setdefault(v, (lineno, k))
+            if word == "edge":
+                pair = (ids[0], ids[1])
+                if pair[0] == pair[1]:
+                    raise TokenError(f"self-loop edge ({pair[0]}, {pair[1]})", 0)
+                if pair in arcs:
+                    raise TokenError(f"duplicate edge {pair}", 0)
+                arcs.add(pair)
+            elif word == "start":
+                if start is not None:
+                    raise TokenError("duplicate start line", 0)
+                start = ids[0]
+            elif word == "target":
+                if target is not None:
+                    raise TokenError("duplicate target line", 0)
+                target = ids[0]
+            if start is not None and start == target:
+                raise TokenError("start and target must differ", 1)
+    except TokenError as error:
+        raise error.at(lineno, raw) from None
     if start is None or target is None:
         raise ParseError("missing start or target line", 1)
     undeclared = min(sites.keys() - vertices, default=None)
     if undeclared is not None:
-        raise ParseError(f"undeclared vertex {undeclared}", *sites[undeclared])
+        lineno, k = sites[undeclared]
+        raw = text.splitlines()[lineno - 1]
+        raise TokenError(f"undeclared vertex {undeclared}", k).at(lineno, raw)
     return Digraph(frozenset(vertices), frozenset(arcs), start, target)
 
 

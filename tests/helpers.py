@@ -9,17 +9,21 @@ source's prefix trie from the listing oracle's paths and evaluates it
 bottom-up. `emergy_graphs` draws small valid graphs for the property tests;
 `family_instances` and `cyclic_core_graphs` make the generator families',
 and `random_no_split_graph` the co-product-only instances only the tests
-use.
+use. `reference_parse_graph`, `reference_parse_digraph` and
+`reference_validate_graph` are the package's loaders as they were before
+the one-pass rewrite (a regex tokenizer, `Fraction` arithmetic throughout):
+the oracles for its error positions, messages and reports.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, groupby
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
@@ -30,8 +34,8 @@ from empower.generators import (
     random_dag,
     random_digraph,
 )
-from empower.graph import EmergyGraph, NodeKind, require_arc
-from empower.hardness import build_reduction
+from empower.graph import EmergyGraph, NodeKind, ParseError, Violation, require_arc
+from empower.hardness import Digraph, build_reduction
 from empower.paths import EmergyPath
 from empower.solver import TailSearch
 
@@ -451,3 +455,221 @@ def emergy_graphs(draw, max_inner: int = 6) -> EmergyGraph:
             shares = [draw(st.integers(1, 3)) for _ in succ]
             arcs.update({(v, w): Fraction(k, sum(shares)) for w, k in zip(succ, shares)})
     return EmergyGraph(kind, emergy, arcs)
+
+
+# The reference loaders: the regex-tokenizer parsers and the Fraction-based
+# validator as the package had them before its one-pass loader, kept
+# verbatim (renamed) so the loader's outputs can be checked against them.
+
+# ASCII digits only: `\d` and `str.isdigit` also accept characters such as
+# '²' or '３' that `int` then refuses or silently reads as digits.
+_ID = re.compile(r"[0-9]+")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+# the most digits a number in a file may have: the interpreter's default
+# int-string limit
+_MAX_DIGITS = 4300
+
+
+def _to_int(text: str, what: str, line: int, col: int) -> int:
+    if len(text.lstrip("+-")) > _MAX_DIGITS:
+        raise ParseError(f"{what} {text[:20]}... is too long", line, col)
+    return int(text)
+
+
+def _parse_rational(token: str, line: int, col: int) -> Fraction:
+    m = _RATIONAL.fullmatch(token)
+    if not m:
+        raise ParseError(f"expected a rational, got {token!r}", line, col)
+    num = _to_int(m.group(1), "numerator", line, col)
+    if m.group(2) is None:
+        return Fraction(num)
+    den = _to_int(m.group(2), "denominator", line, col)
+    if den == 0:
+        raise ParseError("denominator must be a positive integer", line, col)
+    return Fraction(num, den)
+
+
+def _parse_id(token: str, what: str, line: int, col: int) -> int:
+    """A node or vertex id: ASCII digits only, else a ParseError."""
+    if not _ID.fullmatch(token):
+        raise ParseError(f"expected a {what}, got {token!r}", line, col)
+    return _to_int(token, what, line, col)
+
+
+def _tokenize(text: str) -> Iterable[tuple[int, list[tuple[str, int]]]]:
+    """Yield (line number, [(token, column), ...]) skipping blanks and comments."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("#", 1)[0]
+        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", content)]
+        if tokens:
+            yield lineno, tokens
+
+
+def reference_parse_graph(text: str) -> EmergyGraph:
+    """Parse the line-oriented emergy graph format.
+
+    node <id> source <rational>
+    node <id> split | coproduct | output
+    arc <from> <to> <rational>
+
+    '#' starts a comment, blank lines are ignored. Raises ParseError on
+    syntax problems, duplicate declarations, self-loops, or arcs touching
+    undeclared nodes. Semantic rules are left to `validate_graph`.
+    """
+    kinds: dict[int, NodeKind] = {}
+    emergy: dict[int, Fraction] = {}
+    arcs: dict[tuple[int, int], Fraction] = {}
+    arc_sites: list[tuple[tuple[int, int], int, int]] = []
+
+    for lineno, tokens in _tokenize(text):
+        word, col = tokens[0]
+        if word == "node":
+            if len(tokens) < 3:
+                raise ParseError("node line needs an id and a kind", lineno, col)
+            nid = _parse_id(tokens[1][0], "node id", lineno, tokens[1][1])
+            kind_tok, kind_col = tokens[2]
+            try:
+                kind = NodeKind(kind_tok)
+            except ValueError:
+                raise ParseError(f"unknown node kind {kind_tok!r}", lineno, kind_col) from None
+            if nid in kinds:
+                raise ParseError(f"duplicate node id {nid}", lineno, tokens[1][1])
+            if kind is NodeKind.SOURCE:
+                if len(tokens) != 4:
+                    raise ParseError("source node needs an emergy value", lineno, kind_col)
+                emergy[nid] = _parse_rational(tokens[3][0], lineno, tokens[3][1])
+            else:
+                if len(tokens) != 3:
+                    raise ParseError(
+                        f"{kind_tok} node takes no value", lineno, tokens[3][1])
+            kinds[nid] = kind
+        elif word == "arc":
+            if len(tokens) != 4:
+                raise ParseError("arc line needs <from> <to> <weight>", lineno, col)
+            a = _parse_id(tokens[1][0], "node id", lineno, tokens[1][1])
+            b = _parse_id(tokens[2][0], "node id", lineno, tokens[2][1])
+            w = _parse_rational(tokens[3][0], lineno, tokens[3][1])
+            if a == b:
+                raise ParseError(f"self-loop arc ({a}, {b})", lineno, tokens[1][1])
+            if (a, b) in arcs:
+                raise ParseError(f"duplicate arc ({a}, {b})", lineno, tokens[1][1])
+            arcs[(a, b)] = w
+            arc_sites.append(((a, b), lineno, tokens[1][1]))
+        else:
+            raise ParseError(f"expected 'node' or 'arc', got {word!r}", lineno, col)
+
+    for (a, b), lineno, col in arc_sites:
+        for endpoint in (a, b):
+            if endpoint not in kinds:
+                raise ParseError(f"undeclared node {endpoint}", lineno, col)
+
+    return EmergyGraph(kinds, emergy, arcs)
+
+
+def reference_parse_digraph(text: str) -> Digraph:
+    """Parse the digraph format: vertex/edge lines plus one start and target."""
+    vertices: set[int] = set()
+    arcs: set[tuple[int, int]] = set()
+    start: int | None = None
+    target: int | None = None
+    # the line and column where an edge, start or target line first names each vertex
+    sites: dict[int, tuple[int, int]] = {}
+    for lineno, tokens in _tokenize(text):
+        word, col = tokens[0]
+        arity = {"vertex": 1, "edge": 2, "start": 1, "target": 1}.get(word)
+        if arity is None:
+            raise ParseError(f"unrecognized line {word!r}", lineno, col)
+        if len(tokens) != arity + 1:
+            raise ParseError(f"{word} line needs {arity} vertex id(s)", lineno, col)
+        ids = [_parse_id(tok, "vertex id", lineno, tcol) for tok, tcol in tokens[1:]]
+        if word == "vertex":
+            if ids[0] in vertices:
+                raise ParseError(f"duplicate vertex {ids[0]}", lineno, col)
+            vertices.add(ids[0])
+            continue
+        for v, (_, tcol) in zip(ids, tokens[1:]):
+            sites.setdefault(v, (lineno, tcol))
+        if word == "edge":
+            pair = (ids[0], ids[1])
+            if pair[0] == pair[1]:
+                raise ParseError(f"self-loop edge ({pair[0]}, {pair[1]})", lineno, col)
+            if pair in arcs:
+                raise ParseError(f"duplicate edge {pair}", lineno, col)
+            arcs.add(pair)
+        elif word == "start":
+            if start is not None:
+                raise ParseError("duplicate start line", lineno, col)
+            start = ids[0]
+        elif word == "target":
+            if target is not None:
+                raise ParseError("duplicate target line", lineno, col)
+            target = ids[0]
+        if start is not None and start == target:
+            raise ParseError("start and target must differ", lineno, tokens[1][1])
+    if start is None or target is None:
+        raise ParseError("missing start or target line", 1)
+    undeclared = min(sites.keys() - vertices, default=None)
+    if undeclared is not None:
+        raise ParseError(f"undeclared vertex {undeclared}", *sites[undeclared])
+    return Digraph(frozenset(vertices), frozenset(arcs), start, target)
+
+
+def reference_validate_graph(g: EmergyGraph) -> list[Violation]:
+    """Check every semantic rule; an empty report means the graph is valid.
+
+    Violations are data, not exceptions: callers decide whether a broken
+    graph is fatal. The report order is deterministic (nodes ascending,
+    then arcs ascending).
+    """
+    report: list[Violation] = []
+    one = Fraction(1)
+    for v, i in enumerate(g.nodes):
+        k = g.kind[i]
+        out = [g.nodes[w] for w, _, _ in g.options[v]]
+        if k is NodeKind.SOURCE:
+            if g.source_emergy[i] <= 0:
+                report.append(Violation(
+                    "emergy-range", i,
+                    f"source {i} emergy {g.source_emergy[i]} is not positive"))
+            if len(out) != 1:
+                report.append(Violation(
+                    "source-degree", i,
+                    f"source {i} has {len(out)} successors, needs exactly 1"))
+            if g.pred[v]:
+                report.append(Violation(
+                    "source-pred", i,
+                    f"source {i} has predecessors {[g.nodes[u] for u in g.pred[v]]}"))
+        elif k is NodeKind.OUTPUT:
+            if out:
+                report.append(Violation(
+                    "output-succ", i, f"output {i} has successors {out}"))
+        else:
+            if not out:
+                report.append(Violation(
+                    "dead-intermediate", i,
+                    f"{k.value} node {i} has no successors"))
+        if k in (NodeKind.SOURCE, NodeKind.SPLIT) and out:
+            total = sum((g.arcs[(i, j)] for j in out), Fraction(0))
+            if total != one:
+                report.append(Violation(
+                    "split-sum", i,
+                    f"{k.value} {i} outgoing weights sum to {total}, not 1"))
+        if k is NodeKind.COPRODUCT:
+            if len(out) < 2:
+                report.append(Violation(
+                    "coproduct-degree", i,
+                    f"co-product {i} has {len(out)} successors, needs at least 2"))
+            for j in out:
+                if g.arcs[(i, j)] != one:
+                    report.append(Violation(
+                        "coproduct-weight", (i, j),
+                        f"co-product arc ({i}, {j}) has weight {g.arcs[(i, j)]}, not 1"))
+    for (a, b) in sorted(g.arcs):
+        w = g.arcs[(a, b)]
+        if not 0 < w <= 1:
+            report.append(Violation(
+                "weight-range", (a, b),
+                f"arc ({a}, {b}) weight {w} is outside (0, 1]"))
+    return report

@@ -701,7 +701,7 @@ def test_bench_script_offers_count_paths_and_the_workloads():
     benchmark = json.loads((root / "BENCHMARK.json").read_text())
     proc = run_fresh([str(root / "scripts" / "bench.py"), "--help"])
     suites = re.search(r"\{(.*?)\}", proc.stdout).group(1).split(",")
-    assert suites == ["count-paths", *(w["name"] for w in benchmark["workloads"])]
+    assert suites == ["count-paths", "load", *(w["name"] for w in benchmark["workloads"])]
 
 
 def test_parity_script_finds_a_tree_identical_to_itself(tmp_path):

@@ -21,7 +21,13 @@ from empower.graph import (
     topological_order,
     validate_graph,
 )
-from helpers import emergy_graphs
+from empower.hardness import parse_digraph
+from helpers import (
+    emergy_graphs,
+    reference_parse_digraph,
+    reference_parse_graph,
+    reference_validate_graph,
+)
 
 MINIMAL = "node 1 source 5\nnode 2 output\narc 1 2 1\n"
 
@@ -343,6 +349,182 @@ class TestParseTotality:
     @settings(max_examples=300, deadline=None)
     def test_grammar_like_text(self, text):
         self.parses_or_refuses(text)
+
+
+# whitespace that `str.split` and `re`'s `\\s` split at, among them the
+# separators U+001C-U+001F and NEL (which `str.splitlines` also breaks at)
+ODD_SPACES = [" ", "  ", "\t", "\u00a0", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f", "\x85"]
+LONG = "7" * 4301  # one digit more than a file's number may have
+ODD_TOKENS = ["\uff13", "\u00b2", "\u0662", "1\u00b2", "+1", "-1", "+", "-", "+-1", "1/", "1/2/3",
+              "/0", "/", "0/1", "-0", "+3/4", "-3/4", "01", "1/0", "1/00", "1_0", LONG, "1/" + LONG,
+              "-" + LONG, "7" * 4300, "#", "1#2", "arc#", "x", "1", "2", "3", "1/2", "3/2"]
+
+
+def mostly(good: list[str]):
+    """One of `good`, 19 times in 20; else one of `ODD_TOKENS`."""
+    return st.tuples(st.integers(0, 19), st.sampled_from(good), st.sampled_from(ODD_TOKENS)).map(
+        lambda pick: pick[1] if pick[0] else pick[2])
+
+
+def token_text(shapes: list[list]):
+    """Lines of tokens drawn slot by slot from one of `shapes` (the last
+    shape a fifth as often as each other), a slot sometimes dropped or a
+    token added, joined by whitespace of every kind and by every line break
+    `str.splitlines` knows, with comments."""
+    tokens = st.one_of(*[st.tuples(*shape) for shape in shapes[:-1]] * 4,
+                       st.tuples(*shapes[-1])).flatmap(
+        lambda line: st.sampled_from([list(line)] * 18 + [list(line[:-1]), [*line, "1"]]))
+    spaces = st.sampled_from([" "] * 20 + ODD_SPACES)
+    line = st.tuples(tokens, st.lists(spaces, min_size=6, max_size=6),
+                     st.sampled_from(["", "", " # note", "#", "\t#1 2"]))
+    return st.lists(line.map(lambda t: t[1][0] + "".join(
+        sep + tok for sep, tok in zip(t[1][1:], t[0])) + t[2]), max_size=8).flatmap(
+        lambda lines: st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\u2028"]),
+                               min_size=len(lines), max_size=len(lines)).map(
+            lambda breaks: "".join(line + br for line, br in zip(lines, breaks))))
+
+
+IDS, WEIGHTS = ["1", "2", "3", "4", "01"], ["1", "1/2", "2/4", "3/4", "0", "-1"]
+graph_tokens = token_text([
+    [mostly(["node"]), mostly(IDS), mostly(["source"]), mostly(WEIGHTS)],
+    [mostly(["node"]), mostly(IDS), mostly(["split", "coproduct", "output", "tank"])],
+    [mostly(["arc"]), mostly(IDS), mostly(IDS), mostly(WEIGHTS)],
+    [st.sampled_from(["", "edge", "node", "arc"]), st.sampled_from(ODD_TOKENS)],
+])
+digraph_tokens = token_text([
+    [mostly(["vertex"]), mostly(IDS)],
+    [mostly(["edge"]), mostly(IDS), mostly(IDS)],
+    [mostly(["start", "target"]), mostly(IDS)],
+    [st.sampled_from(["", "node", "edge"]), st.sampled_from(ODD_TOKENS)],
+])
+
+
+def assert_same_outcome(parse, reference, text: str):
+    """`parse` gives what `reference` gives, or the same ParseError: its
+    line, column and message."""
+    try:
+        expected = reference(text)
+    except ParseError as refusal:
+        with pytest.raises(ParseError) as got:
+            parse(text)
+        assert (got.value.line, got.value.column, str(got.value)) == \
+            (refusal.line, refusal.column, str(refusal))
+    else:
+        assert parse(text) == expected
+
+
+class TestParseAgainstReference:
+    """The one-pass parsers against the regex-tokenizer ones they replace
+    (`helpers.reference_parse_graph`, `helpers.reference_parse_digraph`)."""
+
+    @given(st.one_of(grammar_like, graph_tokens, st.text()))
+    @settings(max_examples=600, deadline=None)
+    def test_graph_text(self, text):
+        assert_same_outcome(parse_graph, reference_parse_graph, text)
+
+    @given(st.one_of(digraph_tokens, st.text()))
+    @settings(max_examples=300, deadline=None)
+    def test_digraph_text(self, text):
+        assert_same_outcome(parse_digraph, reference_parse_digraph, text)
+
+    @given(emergy_graphs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_serialized_graph_with_one_token_changed(self, g, data):
+        """A valid file with one token replaced or deleted: every error one
+        token can cause, in a file the parser otherwise reads through."""
+        lines = [line.split() for line in serialize_graph(g).splitlines()]
+        n = data.draw(st.integers(0, len(lines) - 1))
+        k = data.draw(st.integers(0, len(lines[n]) - 1))
+        lines[n][k:k + 1] = data.draw(st.sampled_from([[], ["7"], ["0"], ["1/0"], ["-1/2"],
+                                                       ["split"], ["99"], ["1"], ["\uff13"]]))
+        assert_same_outcome(parse_graph, reference_parse_graph,
+                            "\n".join(" ".join(line) for line in lines))
+
+    @pytest.mark.parametrize("text", [
+        "node 1 source 1\nnode 2 output\narc 1 3 1\narc 5 2 1\n",  # the first undeclared arc
+        "arc 9 1 1\nnode 1 source 1\narc 1 8 1\n",  # an arc before the nodes it names
+        "node 1 split\narc\t1 2\u3000 1/2 # c\nnode 2 output\narc 1 3 x\n",
+        "node 1 source 1/2/3\n", "node 1 source " + LONG + "\n",
+        "node 1 source 1/" + LONG + "\n", "node 1 source -" + LONG + "/0\n",
+    ])
+    def test_pinned_errors(self, text):
+        assert_same_outcome(parse_graph, reference_parse_graph, text)
+
+
+def mutated(g: EmergyGraph, data) -> EmergyGraph:
+    """`g` with up to four changes a validator must report: a weight
+    halved, above 1, 0 or negative, a co-product weight other than 1, a
+    non-positive emergy, an arc removed or added, a split made a co-product."""
+    kind, emergy, arcs = dict(g.kind), dict(g.source_emergy), dict(g.arcs)
+    for _ in range(data.draw(st.integers(1, 4))):
+        change = data.draw(st.sampled_from(["halve", "above", "zero", "negative", "co-product",
+                                            "emergy", "remove", "add", "kind"]))
+        arc = data.draw(st.sampled_from(sorted(arcs))) if arcs else None
+        if change == "halve" and arc:
+            arcs[arc] /= 2
+        elif change in ("above", "zero", "negative") and arc:
+            arcs[arc] = {"above": Fraction(3, 2), "zero": Fraction(0),
+                         "negative": -arcs[arc]}[change]
+        elif change == "co-product":
+            at = [a for a in arcs if kind[a[0]] is NodeKind.COPRODUCT]
+            if at:
+                arcs[data.draw(st.sampled_from(at))] = data.draw(st.sampled_from(
+                    [Fraction(1, 2), Fraction(2), Fraction(2, 3)]))
+        elif change == "emergy":
+            emergy[data.draw(st.sampled_from(sorted(emergy)))] = data.draw(
+                st.sampled_from([Fraction(0), Fraction(-1, 3)]))
+        elif change == "remove" and arc:
+            del arcs[arc]
+        elif change == "add":
+            a, b = data.draw(st.lists(st.sampled_from(sorted(kind)), min_size=2, max_size=2,
+                                      unique=True))
+            arcs[a, b] = data.draw(st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(5, 4)]))
+        elif change == "kind":
+            v = data.draw(st.sampled_from(sorted(kind)))
+            if kind[v] in (NodeKind.SPLIT, NodeKind.COPRODUCT):
+                kind[v] = NodeKind.COPRODUCT if kind[v] is NodeKind.SPLIT else NodeKind.SPLIT
+    return EmergyGraph(kind, emergy, arcs)
+
+
+def wide_split(weights: list[Fraction]) -> EmergyGraph:
+    """A source feeding one split with an output per weight."""
+    kind = {1: NodeKind.SOURCE, 2: NodeKind.SPLIT}
+    kind.update({3 + j: NodeKind.OUTPUT for j in range(len(weights))})
+    arcs = {(1, 2): Fraction(1), **{(2, 3 + j): w for j, w in enumerate(weights)}}
+    return EmergyGraph(kind, {1: Fraction(1)}, arcs)
+
+
+class TestValidateAgainstReference:
+    """`validate_graph` on integer pairs against the `Fraction` validator it
+    replaces (`helpers.reference_validate_graph`): the same reports."""
+
+    @given(emergy_graphs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_graphs(self, g, data):
+        assert validate_graph(g) == reference_validate_graph(g) == []
+        broken = mutated(g, data)
+        assert validate_graph(broken) == reference_validate_graph(broken)
+
+    def test_split_of_two_hundred_denominators(self):
+        """1/(k(k+1)) for k = 1..199 telescopes to 1 - 1/200: with 1/200
+        the sum is exactly 1, every denominator distinct."""
+        weights = [Fraction(1, k * (k + 1)) for k in range(1, 200)] + [Fraction(1, 200)]
+        assert len({w.denominator for w in weights}) == 200
+        assert validate_graph(wide_split(weights)) == []
+        weights[-1] = Fraction(1, 201)
+        report = validate_graph(wide_split(weights))
+        assert report == reference_validate_graph(wide_split(weights))
+        assert [v.message for v in report] == ["split 2 outgoing weights sum to 40199/40200, not 1"]
+
+    @pytest.mark.parametrize("g", [
+        graph_with({(2, 3): Fraction(3, 2), (2, 4): Fraction(-1, 2)}),
+        graph_with({(2, 3): 0, (2, 4): Fraction(1, 2)}, kinds={2: NodeKind.COPRODUCT}),
+        EmergyGraph({1: NodeKind.SOURCE, 2: NodeKind.COPRODUCT, 3: NodeKind.SOURCE},
+                    {1: Fraction(-2), 3: Fraction(0)}, {(1, 2): Fraction(1), (1, 3): Fraction(2)}),
+    ], ids=["two-ranges", "co-product", "sources"])
+    def test_pinned_reports(self, g):
+        assert validate_graph(g) == reference_validate_graph(g)
+        assert validate_graph(g)
 
 
 rationals = st.fractions(min_value=-10**8, max_value=10**8, max_denominator=10**6)
