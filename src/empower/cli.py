@@ -11,13 +11,10 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, NoReturn
+from typing import NoReturn
 
 from .graph import (_MAX_DIGITS, _TOO_LONG, EmergyGraph, ParseError, parse_graph, parse_id,
                     serialize_graph, validate_graph)
-
-if TYPE_CHECKING:
-    from .solver import SolveResult
 
 # A process runs one command: the solver, the listing, the hardness
 # reduction, the generators and the compatibility graph are imported inside
@@ -134,31 +131,27 @@ def cmd_paths(args) -> int:
     return 0
 
 
-def _solve(g: EmergyGraph, arc: tuple[int, int], method: str,
-           want_state: bool) -> tuple[str, SolveResult]:
-    """The method that runs, with `auto` resolved, and its result."""
-    from .solver import brute_force_solve, solve_general
-
-    if method == "brute":
-        try:
-            return method, brute_force_solve(g, arc)
-        except ValueError as exc:
-            _fail(str(exc), 3)
-    acyclic = g.acyclic
-    if method == "auto":
-        method = "dag" if acyclic and not want_state else "cotree"
-    if method == "dag":
-        if want_state:
-            _fail("the dag method computes the value only; drop --state", 2)
-        if not acyclic:
-            _fail("the dag method needs an acyclic instance; use cotree", 3)
-    return method, solve_general(g, arc)
-
-
 def cmd_solve(args) -> int:
     g = _load(args)
+    # loaded before the clock starts, so the time printed is the solve's alone
+    from .solver import brute_force_solve, solve_general
+
+    method = args.method
+    if method == "auto":
+        method = "dag" if g.acyclic and not args.state else "cotree"
+    if method == "dag":
+        if args.state:
+            _fail("the dag method computes the value only; drop --state", 2)
+        if not g.acyclic:
+            _fail("the dag method needs an acyclic instance; use cotree", 3)
     started = time.perf_counter()
-    method, result = _solve(g, args.arc, args.method, args.state)
+    if method == "brute":
+        try:
+            result = brute_force_solve(g, args.arc)
+        except ValueError as exc:
+            _fail(str(exc), 3)
+    else:
+        result = solve_general(g, args.arc)
     elapsed = time.perf_counter() - started
     # timing goes to stderr so stdout stays byte-stable for a given input
     print(f"solved in {elapsed * 1000:.1f} ms", file=sys.stderr)

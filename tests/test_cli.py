@@ -741,6 +741,23 @@ class TestStartupImports:
         assert "empower.cli" in loaded
         assert loaded & (self.NOT_NEEDED | self.NOT_RUN[argv[0]]) == set()
 
+    def test_solve_times_no_import(self):
+        """The solver is loaded when the clock of `solved in X ms` starts."""
+        probe = """
+import sys, types
+from empower import cli
+seen = []
+def clock():
+    seen.append("empower.solver" in sys.modules)
+    return 0.0
+cli.time = types.SimpleNamespace(perf_counter=clock)
+code = cli.main(sys.argv[1:])
+print(seen)
+sys.exit(code)
+"""
+        proc = run_fresh(["-c", probe, "solve", TEXTBOOK, "--arc", "7,8"])
+        assert proc.stdout.splitlines()[-1] == "[True, True]"
+
     def test_gen_loads_no_counting_or_compatibility(self):
         loaded = modules_loaded_by(["gen", "--family", "random-dag"])
         assert "empower.generators" in loaded

@@ -333,6 +333,15 @@ class TestAgainstOracles:
             for arc in sorted(g.arcs):
                 self.check(g, arc)
 
+    def test_dense_dags(self):
+        """`random_dag(26, 0.45, seed)`, seeds 0-9, the shape of the
+        acyclic-explosion workload: witnesses through co-products and
+        entries shared between branches and sources, up to 41 paths."""
+        for seed in range(10):
+            g = random_dag(26, 0.45, seed)
+            for arc in sorted(g.arcs):
+                self.check(g, arc)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_cyclic_entries_per_source(self, seed):
@@ -455,11 +464,14 @@ class TestAgainstOracles:
     def test_split_only_chain_witness_is_its_listing(self):
         """Every path of a diamond chain coexists, so its witness is the
         arc's whole listing, values included; the backtracking listing of
-        the tests checks the runs up to 4,096 paths."""
+        the tests checks the runs up to 4,096 paths, through entries above
+        and below the most paths the expansion splices (`_SMALL`, 64), and
+        the package's listing, which expands the same way."""
         for layers in range(1, 13):
             g, arc = diamond_chain(layers)
-            assert tuple(solve_general(g, arc).witness_paths()) == \
-                tuple(listed_emergy_paths(g, arc))
+            expected = tuple(listed_emergy_paths(g, arc))
+            assert tuple(solve_general(g, arc).witness_paths()) == expected
+            assert tuple(iter_emergy_paths(g, arc)) == expected
 
 
 class TestBeyondTheOracles:
