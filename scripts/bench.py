@@ -29,6 +29,20 @@ suites:
   3,000-node chain this script writes (one source, splits in a line, one
   output, every weight 1) and the output of `empower gen --family
   random-cyclic --nodes 1000 --seed 1` under the first side, 200,022 lines.
+- `witness` (5 repeats): the layer the acyclic-explosion workload spends
+  most of its round in, which `perfbench/run.py --trace` cannot see. One
+  process per instance times `solve_general(g, arc)` and then reading its
+  `.witness`, which expands every witness path, by wall clock, 15 times
+  each, and prints their medians. The instances are `diamond_chain(k)` for
+  k = 8-13 at its one output arc, and `random_dag(26, 0.45, s)`, the
+  acyclic-explosion workload's shape, at the arc into an output with the
+  most paths (ties low), for the nine seeds s below 200 where those paths
+  are most (`DAG_SEEDS`). One more process builds a ladder
+  (63 splits in a line, each also feeding its own line of 1,000
+  pass-through splits into the arc tail; 64 witness paths) and reports the
+  `tracemalloc` peak and the time of streaming its witness once. The sides
+  take turns instance by instance, so a drift in the host's speed falls on
+  both alike. Every side must find the same witness counts.
 - one suite per workload of BENCHMARK.json (`cli-queries`,
   `acyclic-explosion`, `cyclic-core`; 10 repeats): each side's package is
   copied into a temporary tree next to this checkout's `perfbench/`, and
@@ -79,6 +93,18 @@ LOAD_FILES = {
     "random-cyclic-1000": "empower gen --family random-cyclic --nodes 1000 --seed 1",
 }
 LOAD_STAGES = ("parse_graph_ms", "validate_graph_ms", "validate_process_ms")
+# the nine seeds below 200 whose random_dag(26, 0.45, seed) has the most
+# paths at an arc into an output: 724-2,025, with 1-746 witness paths
+DAG_SEEDS = (28, 30, 69, 94, 140, 143, 145, 181, 184)
+WITNESS_INSTANCES = {
+    **{f"diamond-chain-{k}": f"generators.diamond_chain({k}) at its output arc"
+       for k in range(8, 14)},
+    **{f"random-dag-{s}": f"generators.random_dag(26, 0.45, {s}) at the arc into an output "
+                          "with the most paths, ties low" for s in DAG_SEEDS},
+}
+LADDER = ("ladder-1000: source 1, splits 2-64 in a line, each also feeding its own line of "
+          "1,000 pass-through splits into the arc tail, the last one the tail too")
+WITNESS_STAGES = ("solve_ms", "witness_ms")
 
 
 def run(argv: list[str], pythonpath: Path, write_bytecode: bool = False) -> str:
@@ -265,6 +291,115 @@ def load(sides: dict[str, Path], repeats: int) -> dict:
     }
 
 
+def ladder(stretch: int):
+    """The ladder of `LADDER` with stretches of `stretch` nodes, and its arc."""
+    from fractions import Fraction
+
+    from empower.graph import EmergyGraph, NodeKind
+
+    tail, out, first = 65, 66, 67
+    kinds = {1: NodeKind.SOURCE, tail: NodeKind.SPLIT, out: NodeKind.OUTPUT}
+    arcs = {(1, 2): Fraction(1), (tail, out): Fraction(1)}
+    for rung in range(2, 65):
+        kinds[rung] = NodeKind.SPLIT
+        arcs[rung, rung + 1 if rung < 64 else tail] = Fraction(1, 2)
+        line = [rung, *range(first, first + stretch), tail]
+        first += stretch
+        for a, b in zip(line, line[1:]):
+            kinds.setdefault(b, NodeKind.SPLIT)
+            arcs[a, b] = Fraction(1, 2) if a == rung else Fraction(1)
+    return EmergyGraph(kinds, {1: Fraction(1)}, arcs), (tail, out)
+
+
+def witness_child(label: str) -> None:
+    """Time one instance's solve and witness, or stream the ladder's
+    witness under `tracemalloc`; print a JSON line."""
+    import tracemalloc
+
+    from empower.generators import diamond_chain, random_dag
+    from empower.graph import NodeKind
+    from empower.solver import solve_general
+
+    if label == "ladder-1000":
+        g, arc = ladder(1000)
+        result = solve_general(g, arc)
+        tracemalloc.start()
+        started = time.perf_counter()
+        count = sum(1 for _ in result.witness_paths())
+        ms = (time.perf_counter() - started) * 1000
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(json.dumps({"witness_paths": count, "peak_bytes": peak, "traced_ms": ms}))
+        return
+    kind, _, number = label.rpartition("-")
+    if kind == "diamond-chain":
+        g, arc = diamond_chain(int(number))
+    else:
+        g = random_dag(26, 0.45, int(number))
+        into = [a for a in sorted(g.arcs) if g.kind[a[1]] is NodeKind.OUTPUT]
+        arc = max(into, key=lambda a: (solve_general(g, a).stats.path_count, -a[0], -a[1]))
+    ms = {stage: [] for stage in WITNESS_STAGES}
+    for _ in range(15):
+        started = time.perf_counter()
+        result = solve_general(g, arc)
+        solved = time.perf_counter()
+        result.witness
+        done = time.perf_counter()
+        ms["solve_ms"].append((solved - started) * 1000)
+        ms["witness_ms"].append((done - solved) * 1000)
+    print(json.dumps({"arc": arc, "paths": result.stats.path_count,
+                      "witness_paths": result.stats.witness_count,
+                      **{stage: statistics.median(ms[stage]) for stage in WITNESS_STAGES}}))
+
+
+def witness(sides: dict[str, Path], repeats: int) -> dict:
+    labels = [*WITNESS_INSTANCES, "ladder-1000"]
+    outs = {(name, label): [] for name in sides for label in labels}
+    for r in range(repeats):
+        for label in labels:
+            for name in rotated(list(sides), r):
+                stdout = run([sys.executable, __file__, "witness", "--child", label], sides[name])
+                outs[name, label].append(json.loads(stdout.splitlines()[-1]))
+    for label in labels:
+        counts = {out["witness_paths"] for name in sides for out in outs[name, label]}
+        if len(counts) > 1:
+            raise SystemExit(f"{label}: the sides find different witness counts {counts}")
+
+    results = {name: {label: {
+        "arc": outs[name, label][0]["arc"], "paths": outs[name, label][0]["paths"],
+        "witness_paths": outs[name, label][0]["witness_paths"],
+        **{stage: summary([o[stage] for o in outs[name, label]]) for stage in WITNESS_STAGES}}
+        for label in WITNESS_INSTANCES} for name in sides}
+    for name in sides:
+        ladder_runs = outs[name, "ladder-1000"]
+        results[name]["ladder-1000"] = {
+            "witness_paths": ladder_runs[0]["witness_paths"],
+            "peak_kib": summary([o["peak_bytes"] / 1024 for o in ladder_runs]),
+            "traced_ms": summary([o["traced_ms"] for o in ladder_runs])}
+    rows = {f"{label} {stage}": [results[name][label][stage]["median"] for name in sides]
+            for label in WITNESS_INSTANCES for stage in WITNESS_STAGES}
+    rows["ladder-1000 peak_kib"] = [results[name]["ladder-1000"]["peak_kib"]["median"]
+                                    for name in sides]
+    rows["ladder-1000 traced_ms"] = [results[name]["ladder-1000"]["traced_ms"]["median"]
+                                     for name in sides]
+    table("instance stage", list(sides), rows)
+    return {
+        "metric": "per instance, the median over 15 calls in a fresh process of each stage's "
+                  "wall time, ms; median and quartiles of those over the repeats",
+        "repeats": repeats,
+        "instances": {**WITNESS_INSTANCES, "ladder-1000": LADDER},
+        "stages": {
+            "solve_ms": "solver.solve_general(g, arc): the search, witness unexpanded",
+            "witness_ms": "reading the result's .witness: every witness path expanded into "
+                          "one tuple",
+            "peak_kib": "ladder only: tracemalloc peak of streaming witness_paths() once, "
+                        "the runs the expansion keeps included, KiB",
+            "traced_ms": "ladder only: that streaming's wall time under tracemalloc, ms",
+        },
+        "results": results,
+    }
+
+
 def perfbench(workload: str, sides: dict[str, Path], repeats: int) -> dict:
     seconds = BENCHMARK["run_seconds"]
     metrics = BENCHMARK["end_to_end"]
@@ -326,7 +461,7 @@ def perfbench(workload: str, sides: dict[str, Path], repeats: int) -> dict:
 
 
 # suite -> (function, default repeats)
-SUITES = {"count-paths": (count_paths, 5), "load": (load, 5),
+SUITES = {"count-paths": (count_paths, 5), "load": (load, 5), "witness": (witness, 5),
           **{w["name"]: (partial(perfbench, w["name"]), 10) for w in BENCHMARK["workloads"]}}
 
 
@@ -341,11 +476,13 @@ def main() -> None:
     parser.add_argument("--src", action="append", metavar="[NAME=]DIR",
                         help="a directory holding the empower package; repeat to compare")
     parser.add_argument("--repeats", type=int,
-                        help="5 for count-paths and load, 10 for a perfbench workload")
+                        help="5 for count-paths, load and witness, 10 for a perfbench "
+                             "workload")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        (load_child if args.suite == "load" else count_paths_child)(args.child)
+        children = {"load": load_child, "witness": witness_child}
+        children.get(args.suite, count_paths_child)(args.child)
         return
     suite, default_repeats = SUITES[args.suite]
     repeats = default_repeats if args.repeats is None else args.repeats

@@ -41,15 +41,21 @@ node, that is many times. There its first meeting turns each branch into a
 run: the node ids from the branch's node through the pass-through entries
 after it, up to the next branching entry or the tail, with the run's weight
 product as an unreduced integer pair. An entry of at most `_SMALL` witness
-paths splices in the runs of the branching entries below it, so each of its
-runs ends at the tail, and the expansion emits its paths in one loop, each
-one tuple built from the path so far, the run and the head. Every later
-meeting, from any source, reuses the runs, so per path the work follows
-the branch points above the small entries that change. The runs are kept
-per node, whose one entry the memo holds: one per kept branch of a larger
-entry, none longer than the longest pass-through stretch plus one, and at
-most `_SMALL` of a small one, none longer than a path, so the witness still
-streams. On a graph with a cycle the expansion builds no runs and steps the
+paths splices in the runs of the branching entries below it while its runs
+hold at most `_HELD` node ids. Where every branch fits, each of its runs
+ends at the tail, and the expansion emits its paths in one loop. From its
+second meeting in an expansion on, the head is appended to its runs once,
+runs of one weight product are grouped, and each path is one tuple
+concatenation of the path so far and a run; a first meeting, the only one
+for most small entries of a random DAG, builds each path whole. Every
+later meeting, from any source, reuses the runs, so per path the work
+follows the branch points above the small entries that change. The runs
+are kept per node, whose one entry the memo holds: one per kept branch of
+a larger entry, none longer than the longest pass-through stretch plus
+one, and at most `_SMALL` of a small one, holding at most `_HELD` node ids
+besides its unspliced branches, so the witness still streams. The runs
+never hold the head, because one search serves every arc out of its tail.
+On a graph with a cycle the expansion builds no runs and steps the
 branches node by node: an entry inside a component belongs to one path
 prefix, so most entries are met once and building their runs would cost
 more than it saves.
@@ -156,10 +162,18 @@ _UNIT = (1, 1, 1, 1)
 _DEAD = (0, 1, 0, 0)
 # the most witness paths a branching entry's runs are spliced down to the
 # tail for (see `TailSearch._runs`); expanding `diamond_chain(13)`'s 8,192
-# paths took 4.9 / 4.6 / 4.4 / 4.4 / 4.9 / 12.0 ms at 8 / 32 / 64 / 256 /
-# 1,024 / 8,192 (medians of 15, Python 3.11.7 on a 2-vCPU Xeon), against
-# 8.2-8.9 ms without splicing
+# paths took 0.88 / 0.75 / 0.71 / 0.73 / 0.89 / 2.4 times as long at 8 /
+# 32 / 64 / 256 / 1,024 / 8,192 as when each path was built from the path
+# so far, the run and the head at 64 (medians of 60, interleaved in one
+# process, in 4 rounds; Python 3.11.7 on a shared 2-vCPU host)
 _SMALL = 64
+# the most node ids a small entry's runs hold after splicing: at most
+# `_SMALL` runs of `_SMALL` ids on average. Without it a line of small
+# branch points above long pass-through stretches copies each stretch into
+# every entry above it: streaming the witness of a ladder of 64 paths over
+# stretches of 1,000 nodes peaked at 16 MiB, 1.5 MiB with this bound and
+# 0.6 MiB without splicing (`tracemalloc`, Python 3.11.7)
+_HELD = _SMALL * _SMALL
 
 
 class TailTable(NamedTuple):
@@ -295,11 +309,11 @@ class TailSearch:
     on demand, once per start node, and all start nodes share the memo and
     `shared`, the entries of dense components (see `entry`). `expand` turns
     an entry into its kept paths. On an acyclic graph it keeps in `runs`,
-    per branching entry it meets, one run per kept branch, or one per
-    witness path where it has at most `_SMALL` (see `_runs`), so that table
-    holds per node at most `_SMALL` runs or one per kept branch, none longer
-    than a path. Assumes a valid graph: positive weights, sources without
-    predecessors.
+    per branching entry it meets, one run per kept branch, or, where it has
+    at most `_SMALL` witness paths, the runs of the entries below spliced in
+    up to `_HELD` node ids (see `_runs`), so that table holds per node at
+    most `_SMALL` runs or one per kept branch, none longer than a path.
+    Assumes a valid graph: positive weights, sources without predecessors.
     """
 
     def __init__(self, g: EmergyGraph, tail: int):
@@ -319,8 +333,10 @@ class TailSearch:
         self.on_path = [False] * len(g.nodes)
         self.frame_count = 0
         # on an acyclic graph the memo holds every node's one entry, and
-        # `expand` keeps here the runs of each branching one it has met
+        # `expand` keeps here the runs of each branching one it has met, and
+        # in `held` the number of node ids those runs hold
         self.runs: list[list | None] | None = [None] * len(g.nodes) if g.acyclic else None
+        self.held = [0] * len(g.nodes) if g.acyclic else None
 
     def entry(self, node: int) -> tuple:
         """The search's entry for `node` as the first node of the paths,
@@ -488,9 +504,15 @@ class TailSearch:
         `_runs`), built on its first meeting and reused at every later one,
         from any source: per path the work follows the branch points that
         change, and a pass-through stretch is copied in one list operation.
-        An entry of at most `_SMALL` witness paths gets no frame: its runs
-        all end at the tail, so the path so far becomes a tuple once and
-        each path is that prefix, a run and the head, emitted in one loop.
+        An entry whose runs all end at the tail, one per witness path, gets
+        no frame: the path so far becomes a tuple once, and its paths are
+        emitted in one loop. Its first meeting in this call builds each path
+        from that prefix, a run and `head`. Its second keeps its runs with
+        `head` appended in `ends`, grouped by weight product, and from then
+        on each group's value is computed once and each path is one
+        concatenation of the prefix and such a run. On the random DAGs of
+        the acyclic-explosion workload most small entries are met once per
+        expansion; on a diamond chain each is met once per path above it.
         On a graph with a cycle, where an entry inside a component is mostly
         met once, the frame holds the entry itself and its branches are
         stepped node by node.
@@ -498,6 +520,11 @@ class TailSearch:
         if not root[2]:
             return
         ids, memo, table = self.g.nodes, self.memo, self.runs
+        # per node whose runs all end at the tail and that this expansion has
+        # met: () after one meeting, then those runs with the head appended,
+        # in groups of consecutive runs with one weight product, which share
+        # their paths' value
+        ends: dict[int, list | tuple] = {}
         # builds the named tuple without its Python-level constructor call
         new = tuple.__new__
         # v is the index of the node whose entry is `entry`
@@ -508,14 +535,36 @@ class TailSearch:
                 if len(entry) > 6:
                     if table is not None:
                         runs = table[v] or self._runs(v, entry)
-                        if entry[3] <= _SMALL:
+                        if len(runs) == entry[3]:
                             # every run ends at the tail: its paths, and no frame
                             prefix = tuple(path)
-                            for nodes, w_num, w_den, _ in runs:
+                            tails = ends.get(v)
+                            if tails is None:
+                                # a first meeting builds each path whole: on
+                                # a random DAG most small entries are met
+                                # once, and a table would cost more than it
+                                # saves
+                                ends[v] = ()
+                                for nodes, w_num, w_den, _ in runs:
+                                    n, d = num * w_num, den * w_den
+                                    if n != seen_num or d != seen_den:
+                                        seen_num, seen_den, value = n, d, Fraction(n, d)
+                                    yield new(EmergyPath, ((*prefix, *nodes, head), value))
+                                break
+                            if not tails:
+                                tails = ends[v] = []
+                                r_num = r_den = None
+                                for nodes, w_num, w_den, _ in runs:
+                                    if w_num != r_num or w_den != r_den:
+                                        r_num, r_den, group = w_num, w_den, []
+                                        tails.append((r_num, r_den, group))
+                                    group.append(nodes + (head,))
+                            for w_num, w_den, group in tails:
                                 n, d = num * w_num, den * w_den
                                 if n != seen_num or d != seen_den:
                                     seen_num, seen_den, value = n, d, Fraction(n, d)
-                                yield new(EmergyPath, ((*prefix, *nodes, head), value))
+                                for nodes in group:
+                                    yield new(EmergyPath, (prefix + nodes, value))
                             break
                         frames.append([runs, 1, num, den, len(path)])
                         nodes, w_num, w_den, v = runs[0]
@@ -563,10 +612,12 @@ class TailSearch:
         (node ids from a branch's node through the pass-through entries
         after it, their weight product's numerator, its denominator, the
         index of the node the run stops at, which branches or is the tail).
-        An entry of at most `_SMALL` witness paths splices in the runs of
-        the branching entries below it, so each of its runs ends at the
+        An entry of at most `_SMALL` witness paths splices in the runs of a
+        branching entry below it while its runs then hold at most `_HELD`
+        node ids, so where every branch fits each of its runs ends at the
         tail; a larger one keeps one run per kept branch."""
-        ids, small = self.g.nodes, entry[3] <= _SMALL
+        ids, table, sizes = self.g.nodes, self.runs, self.held
+        small, held = entry[3] <= _SMALL, 0
         runs = []
         for i in range(4, len(entry), 2):
             (w, r_num, r_den), sub = entry[i], entry[i + 1]
@@ -578,11 +629,15 @@ class TailSearch:
                 r_den *= w_den
             nodes = tuple(nodes)
             if small and sub is not _UNIT:
-                runs += [(nodes + more, r_num * n, r_den * d, x)
-                         for more, n, d, x in self.runs[w] or self._runs(w, sub)]
-            else:
-                runs.append((nodes, r_num, r_den, w))
-        self.runs[v] = runs
+                below = table[w] or self._runs(w, sub)
+                size = held + len(nodes) * len(below) + sizes[w]
+                if size <= _HELD:
+                    runs += [(nodes + more, r_num * n, r_den * d, x) for more, n, d, x in below]
+                    held = size
+                    continue
+            runs.append((nodes, r_num, r_den, w))
+            held += len(nodes)
+        table[v], sizes[v] = runs, held
         return runs
 
 

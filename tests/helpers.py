@@ -4,15 +4,17 @@ Everything here deliberately avoids the package's clever code paths: the
 path oracle enumerates every bounded walk and filters by the definition, the
 listing oracle backtracks from each source over the raw successor lists, the
 induced-path oracle scans raw vertex quadruples, the subset maximizer grows
-compatible sets directly from the relation, and the trie oracle builds each
+compatible sets directly from the relation, the trie oracle builds each
 source's prefix trie from the listing oracle's paths and evaluates it
-bottom-up. `emergy_graphs` draws small valid graphs for the property tests;
-`family_instances` and `cyclic_core_graphs` make the generator families',
-and `random_no_split_graph` the co-product-only instances only the tests
-use. `reference_parse_graph`, `reference_parse_digraph` and
-`reference_validate_graph` are the package's loaders as they were before
-the one-pass rewrite (a regex tokenizer, `Fraction` arithmetic throughout):
-the oracles for its error positions, messages and reports.
+bottom-up, and the clique oracle decomposes the compatibility graph of the
+listing oracle's paths as a cograph. `emergy_graphs` draws small valid
+graphs for the property tests; `family_instances` and `cyclic_core_graphs`
+make the generator families', and `random_no_split_graph` and `ladder` the
+instances only the tests use. `reference_parse_graph`,
+`reference_parse_digraph` and `reference_validate_graph` are the package's
+loaders as they were before the one-pass rewrite (a regex tokenizer,
+`Fraction` arithmetic throughout): the oracles for its error positions,
+messages and reports.
 """
 
 from __future__ import annotations
@@ -98,6 +100,27 @@ def cyclic_core_graphs() -> list[EmergyGraph]:
     benchmark's cyclic-core workload, too large for the trie and brute-force
     oracles."""
     return [random_cyclic(24, 0.26, 4, seed) for seed in range(20)]
+
+
+def ladder(stretch: int, rungs: int = 63) -> tuple[EmergyGraph, tuple[int, int]]:
+    """Source 1 feeding splits 2..rungs+1 in a line; each also feeds its own
+    line of `stretch` (at least 1) pass-through splits into the arc tail,
+    and the last one feeds the tail directly too: rungs + 1 witness paths,
+    every branch point above long pass-through stretches. Returns the graph
+    and its one output arc."""
+    tail, out = rungs + 2, rungs + 3
+    kinds = {1: NodeKind.SOURCE, tail: NodeKind.SPLIT, out: NodeKind.OUTPUT}
+    arcs = {(1, 2): Fraction(1), (tail, out): Fraction(1)}
+    first = out + 1
+    for rung in range(2, rungs + 2):
+        kinds[rung] = NodeKind.SPLIT
+        arcs[rung, rung + 1 if rung <= rungs else tail] = Fraction(1, 2)
+        line = [rung, *range(first, first + stretch), tail]
+        first += stretch
+        for a, b in zip(line, line[1:]):
+            kinds.setdefault(b, NodeKind.SPLIT)
+            arcs[a, b] = Fraction(1, 2) if a == rung else Fraction(1)
+    return EmergyGraph(kinds, {1: Fraction(1)}, arcs), (tail, out)
 
 
 def successors(g: EmergyGraph) -> dict[int, tuple[int, ...]]:
@@ -253,6 +276,59 @@ def listed_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> list[EmergyPath
     with the package's listing, which is the search's own expansion."""
     return [EmergyPath(p, path_value(g, p))
             for s in sorted(g.source_emergy) for p in rooted_simple_paths(g, s, arc)]
+
+
+def cograph_value(g: EmergyGraph, arc: tuple[int, int]) -> Fraction:
+    """The maximum empower of `arc` as a maximum-weight clique of the
+    compatibility graph on `listed_emergy_paths`, by cograph decomposition
+    (Corneil, Lerchs and Stewart Burlingham, "Complement reducible graphs",
+    Discrete Appl. Math. 3, 1981): a cograph is one vertex, a disjoint union
+    of smaller cographs, whose best clique lies in one of them, or their
+    join, whose best clique takes one from each. A vertex set that is
+    connected and whose complement is connected too holds an induced
+    four-vertex path, and the oracle raises.
+
+    Compatibility is the definition, pair by pair: two distinct paths are
+    compatible when they start at different nodes or part ways at a split.
+    The adjacency is a bit mask per path."""
+    paths = listed_emergy_paths(g, arc)
+    adj = [0] * len(paths)
+    for i, j in combinations(range(len(paths)), 2):
+        a, b = paths[i].nodes, paths[j].nodes
+        k = 0
+        while a[k] == b[k]:
+            k += 1
+        if k == 0 or g.kind[a[k - 1]] is NodeKind.SPLIT:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+
+    def parts(mask: int, neighbours) -> list[int]:
+        """The vertex sets of the connected components of `mask`."""
+        found = []
+        while mask:
+            seen = frontier = mask & -mask
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                new = neighbours(bit.bit_length() - 1) & mask & ~seen
+                seen |= new
+                frontier |= new
+            found.append(seen)
+            mask &= ~seen
+        return found
+
+    def best(mask: int) -> Fraction:
+        if mask & (mask - 1) == 0:
+            return paths[mask.bit_length() - 1].value
+        union = parts(mask, adj.__getitem__)
+        if len(union) > 1:
+            return max(map(best, union))
+        join = parts(mask, lambda i: ~adj[i])
+        if len(join) > 1:
+            return sum(map(best, join), Fraction(0))
+        raise ValueError(f"the compatibility graph of {arc} is no cograph")
+
+    return best((1 << len(paths)) - 1) if paths else Fraction(0)
 
 
 def best_compatible_value(g: EmergyGraph, seqs: list[tuple[int, ...]]) -> Fraction:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, combinations, islice, zip_longest
 
 import pytest
 from hypothesis import Phase, find, given, settings
@@ -39,10 +39,12 @@ from helpers import (
     best_compatible_value,
     build_source_trie,
     check_witness,
+    cograph_value,
     cyclic_core_graphs,
     emergy_graphs,
     evaluate_trie,
     family_instances,
+    ladder,
     listed_emergy_paths,
     pairwise_compatible,
     path_value,
@@ -51,6 +53,16 @@ from helpers import (
     successors,
     trie_solve,
 )
+
+
+def with_second_head(g: EmergyGraph, arc: tuple[int, int]) -> EmergyGraph:
+    """`g` with a second output after the split tail of `arc`, the arc's only
+    one out of its tail: the tail's flow goes 1/3 to the arc's head and 2/3
+    to the new output."""
+    tail, head = arc
+    new = max(g.kind) + 1
+    arcs = {**g.arcs, arc: Fraction(1, 3), (tail, new): Fraction(2, 3)}
+    return EmergyGraph({**g.kind, new: NodeKind.OUTPUT}, dict(g.source_emergy), arcs)
 
 
 def chain_graph(length: int, emergy: Fraction) -> tuple[EmergyGraph, tuple[int, int]]:
@@ -315,6 +327,7 @@ class TestAgainstOracles:
         assert result.stats.path_count == path_count
         assert result.stats.witness_count == len(witness)
         check_witness(g, arc, result)
+        assert cograph_value(g, arc) == value
         if path_count <= 16:
             brute = brute_force_solve(g, arc)
             assert brute.value == result.value
@@ -341,6 +354,21 @@ class TestAgainstOracles:
             g = random_dag(26, 0.45, seed)
             for arc in sorted(g.arcs):
                 self.check(g, arc)
+
+    def test_clique_oracle_beyond_the_trie(self):
+        """Every arc of at most 300 paths of `cyclic_core_graphs()` and of
+        `random_dag(40, 0.4, seed)`, seeds 0-4, against the clique oracle,
+        which shares no recursion with the search: 2,846 arcs, up to 286
+        paths. Every compatibility graph decomposes as a cograph."""
+        graphs = cyclic_core_graphs() + [random_dag(40, 0.4, seed) for seed in range(5)]
+        checked = 0
+        for g in graphs:
+            for arc in sorted(g.arcs):
+                result = solve_general(g, arc)
+                if result.stats.path_count <= 300:
+                    assert cograph_value(g, arc) == result.value, arc
+                    checked += 1
+        assert checked == 2846
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -399,6 +427,47 @@ class TestAgainstOracles:
                     start = (g.source_emergy[i] * g.arcs[tail, head]).as_integer_ratio()
                     assert list(shared.expand(i, got, *start, head)) == \
                         list(fresh.expand(i, want, *start, head))
+
+    @pytest.mark.parametrize("make", [
+        lambda: [with_second_head(*diamond_chain(10)), with_second_head(*ladder(3))],
+        lambda: [random_dag(26, 0.45, seed) for seed in range(5)],
+        lambda: cyclic_core_graphs()[:2],
+    ], ids=["diamond-chain-and-ladder", "dense-dags", "cyclic-core-shape"])
+    def test_one_search_expands_toward_every_head(self, make):
+        """One `TailSearch` serves every arc out of its tail: expanding its
+        entries toward each head in turn, and toward all heads at once with
+        the expansions interleaved path by path, gives each head exactly the
+        witness paths and values of a fresh `solve_general`. The runs the
+        expansion keeps on the search never hold a head."""
+        for g in make():
+            heads = {}
+            for tail, head in sorted(g.arcs):
+                heads.setdefault(tail, []).append(head)
+            for tail, out in heads.items():
+                if len(out) < 2:
+                    continue
+                search = TailSearch(g, tail)
+                roots = [(s, search.entry(s)) for s in g.sources]
+
+                def expand(head):
+                    weight = g.arcs[tail, head]
+                    return chain.from_iterable(
+                        search.expand(s, entry, *(g.source_emergy[s] * weight).as_integer_ratio(),
+                                      head)
+                        for s, entry in roots if entry[2])
+
+                expected = {head: solve_general(g, (tail, head)).witness.paths for head in out}
+                for head in out:
+                    assert tuple(expand(head)) == expected[head], (tail, head)
+                got = {head: [] for head in out}
+                for paths in zip_longest(*map(expand, out)):
+                    for head, p in zip(out, paths):
+                        if p is not None:
+                            got[head].append(p)
+                assert {head: tuple(paths) for head, paths in got.items()} == expected
+                at = g.index[tail]
+                for runs in search.runs or ():
+                    assert all(run[0][-1] == tail for run in runs or () if run[3] == at)
 
     @given(emergy_graphs())
     @settings(max_examples=80, deadline=None)
@@ -460,6 +529,30 @@ class TestAgainstOracles:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 1024
+
+    def test_witness_runs_stay_bounded_above_long_stretches(self):
+        """On a ladder, 63 branch points in a line above stretches of 1,000
+        pass-through nodes, each small entry splices the runs below it only
+        up to `_HELD` node ids: streaming its 64 witness paths peaks under
+        2 MiB, where splicing every small entry held 16 MiB of runs. The
+        paths are the listing's (checked on shorter stretches, which the
+        recursive listing oracle can walk)."""
+        g, arc = ladder(1000)
+        result = solve_general(g, arc)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in result.witness_paths())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 64
+        assert peak < 2 * 1024 * 1024
+        check_witness(g, arc, solve_general(g, arc))
+        for stretch in (1, 20, 100):
+            g, arc = ladder(stretch)
+            expected = tuple(listed_emergy_paths(g, arc))
+            assert tuple(solve_general(g, arc).witness_paths()) == expected
+            assert tuple(iter_emergy_paths(g, arc)) == expected
 
     def test_split_only_chain_witness_is_its_listing(self):
         """Every path of a diamond chain coexists, so its witness is the
