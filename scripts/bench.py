@@ -37,10 +37,13 @@ suites:
   k = 8-13 at its one output arc, and `random_dag(26, 0.45, s)`, the
   acyclic-explosion workload's shape, at the arc into an output with the
   most paths (ties low), for the nine seeds s below 200 where those paths
-  are most (`DAG_SEEDS`). One more process builds a ladder
-  (63 splits in a line, each also feeding its own line of 1,000
-  pass-through splits into the arc tail; 64 witness paths) and reports the
-  `tracemalloc` peak and the time of streaming its witness once. The sides
+  are most (`DAG_SEEDS`). One more instance has a cycle, so there the
+  expansion steps node by node: the split-only counting reduction of
+  `random_digraph(10, 0.6, 1)` at its target arc, whose 2,596 paths are
+  all witness paths. One more process builds a ladder (63 splits in a
+  line, each also feeding its own line of 1,000 pass-through splits into
+  the arc tail; 64 witness paths) and reports the `tracemalloc` peak and
+  the time of streaming its witness once. The sides
   take turns instance by instance, so a drift in the host's speed falls on
   both alike. Every side must find the same witness counts.
 - one suite per workload of BENCHMARK.json (`cli-queries`,
@@ -101,6 +104,8 @@ WITNESS_INSTANCES = {
        for k in range(8, 14)},
     **{f"random-dag-{s}": f"generators.random_dag(26, 0.45, {s}) at the arc into an output "
                           "with the most paths, ties low" for s in DAG_SEEDS},
+    "reduction-10": "hardness.build_reduction(generators.random_digraph(10, 0.6, 1)) at its "
+                    "target arc: split-only, with a cycle",
 }
 LADDER = ("ladder-1000: source 1, splits 2-64 in a line, each also feeding its own line of "
           "1,000 pass-through splits into the arc tail, the last one the tail too")
@@ -316,8 +321,9 @@ def witness_child(label: str) -> None:
     witness under `tracemalloc`; print a JSON line."""
     import tracemalloc
 
-    from empower.generators import diamond_chain, random_dag
+    from empower.generators import diamond_chain, random_dag, random_digraph
     from empower.graph import NodeKind
+    from empower.hardness import build_reduction
     from empower.solver import solve_general
 
     if label == "ladder-1000":
@@ -334,6 +340,9 @@ def witness_child(label: str) -> None:
     kind, _, number = label.rpartition("-")
     if kind == "diamond-chain":
         g, arc = diamond_chain(int(number))
+    elif kind == "reduction":
+        inst = build_reduction(random_digraph(int(number), 0.6, 1))
+        g, arc = inst.graph, inst.target_arc
     else:
         g = random_dag(26, 0.45, int(number))
         into = [a for a in sorted(g.arcs) if g.kind[a[1]] is NodeKind.OUTPUT]

@@ -37,28 +37,27 @@ tail's total by w(t, h) once and appends h to each witness path.
 The expansion steps from branch point to branch point. A branching entry,
 one with several kept branches, is met once per path into it; on an acyclic
 graph, where the memo shares every entry between the predecessors of its
-node, that is many times. There its first meeting turns each branch into a
-run: the node ids from the branch's node through the pass-through entries
-after it, up to the next branching entry or the tail, with the run's weight
-product as an unreduced integer pair. An entry of at most `_SMALL` witness
-paths splices in the runs of the branching entries below it while its runs
-hold at most `_HELD` node ids. Where every branch fits, each of its runs
-ends at the tail, and the expansion emits its paths in one loop. From its
-second meeting in an expansion on, the head is appended to its runs once,
-runs of one weight product are grouped, and each path is one tuple
-concatenation of the path so far and a run; a first meeting, the only one
-for most small entries of a random DAG, builds each path whole. Every
-later meeting, from any source, reuses the runs, so per path the work
-follows the branch points above the small entries that change. The runs
-are kept per node, whose one entry the memo holds: one per kept branch of
-a larger entry, none longer than the longest pass-through stretch plus
-one, and at most `_SMALL` of a small one, holding at most `_HELD` node ids
-besides its unspliced branches, so the witness still streams. The runs
-never hold the head, because one search serves every arc out of its tail.
-On a graph with a cycle the expansion builds no runs and steps the
-branches node by node: an entry inside a component belongs to one path
-prefix, so most entries are met once and building their runs would cost
-more than it saves.
+node, that is many times. There its first meeting toward a head turns each
+branch into a run: the node ids from the branch's node through the
+pass-through entries after it, up to the next branching entry, or through
+the tail and then the head, with the run's weight product as an unreduced
+integer pair. An entry of at most `_SMALL` witness paths splices in the
+runs of the branching entries below it while its runs hold at most `_HELD`
+node ids. Where every branch fits, each of its runs ends with the head,
+and every meeting emits its paths in one loop: each path is one tuple
+concatenation of the path so far and a run, and a value is computed only
+where a run's weight product differs from the previous run's. Every later
+meeting toward that head, from any source and in any later expansion,
+reuses the runs, so per path the work follows the branch points above the
+small entries that change. The runs are kept per head and node, whose one
+entry the memo holds: one per kept branch of a larger entry, none longer
+than the longest pass-through stretch plus two, and at most `_SMALL` of a
+small one, holding at most `_HELD` node ids besides its unspliced
+branches, so the witness still streams. One search serves every arc out of
+its tail, each head with its own runs. On a graph with a cycle the
+expansion builds no runs and steps the branches node by node: an entry
+inside a component belongs to one path prefix, so most entries are met
+once and building their runs would cost more than it saves.
 
 The arc's path listing (`paths.iter_emergy_paths`) is the same search and
 expansion with every branch kept (`ListingSearch`), so it closes dead nodes
@@ -161,18 +160,19 @@ class SolveResult:
 _UNIT = (1, 1, 1, 1)
 _DEAD = (0, 1, 0, 0)
 # the most witness paths a branching entry's runs are spliced down to the
-# tail for (see `TailSearch._runs`); expanding `diamond_chain(13)`'s 8,192
-# paths took 0.88 / 0.75 / 0.71 / 0.73 / 0.89 / 2.4 times as long at 8 /
-# 32 / 64 / 256 / 1,024 / 8,192 as when each path was built from the path
-# so far, the run and the head at 64 (medians of 60, interleaved in one
-# process, in 4 rounds; Python 3.11.7 on a shared 2-vCPU host)
+# head for (see `TailSearch._runs`); expanding `diamond_chain(13)`'s 8,192
+# paths took 1.21 / 1.04 / 1 / 1.00 / 1.05 times as long at 8 / 32 / 64 /
+# 256 / 1,024 as at 64, and the nine random DAGs of `scripts/bench.py
+# witness` 1.03 / 1.00 / 1 / 1.07 / 1.33 (medians of 4 rounds, each the
+# median of 60 expansions interleaved in one process; Python 3.11.7 on a
+# shared 2-vCPU host)
 _SMALL = 64
-# the most node ids a small entry's runs hold after splicing: at most
-# `_SMALL` runs of `_SMALL` ids on average. Without it a line of small
-# branch points above long pass-through stretches copies each stretch into
-# every entry above it: streaming the witness of a ladder of 64 paths over
-# stretches of 1,000 nodes peaked at 16 MiB, 1.5 MiB with this bound and
-# 0.6 MiB without splicing (`tracemalloc`, Python 3.11.7)
+# the most node ids, heads included, a small entry's runs hold after
+# splicing: at most `_SMALL` runs of `_SMALL` ids on average. Without it a
+# line of small branch points above long pass-through stretches copies each
+# stretch into every entry above it: streaming the witness of a ladder of
+# 64 paths over stretches of 1,000 nodes peaked at 16 MiB, 1.5 MiB with
+# this bound and 0.6 MiB without splicing (`tracemalloc`, Python 3.11.7)
 _HELD = _SMALL * _SMALL
 
 
@@ -308,12 +308,14 @@ class TailSearch:
     which holds the tail's unit entry and nothing else yet. The search runs
     on demand, once per start node, and all start nodes share the memo and
     `shared`, the entries of dense components (see `entry`). `expand` turns
-    an entry into its kept paths. On an acyclic graph it keeps in `runs`,
-    per branching entry it meets, one run per kept branch, or, where it has
-    at most `_SMALL` witness paths, the runs of the entries below spliced in
-    up to `_HELD` node ids (see `_runs`), so that table holds per node at
-    most `_SMALL` runs or one per kept branch, none longer than a path.
-    Assumes a valid graph: positive weights, sources without predecessors.
+    an entry into its kept paths toward one head. On an acyclic graph it
+    keeps in `runs[head]`, per branching entry it meets, one run per kept
+    branch, or, where it has at most `_SMALL` witness paths, the runs of the
+    entries below spliced in up to `_HELD` node ids (see `_runs`), so that
+    table holds per node at most `_SMALL` runs or one per kept branch, none
+    longer than a path, and each run that reaches the tail ends with the
+    head. Assumes a valid graph: positive weights, sources without
+    predecessors.
     """
 
     def __init__(self, g: EmergyGraph, tail: int):
@@ -333,10 +335,9 @@ class TailSearch:
         self.on_path = [False] * len(g.nodes)
         self.frame_count = 0
         # on an acyclic graph the memo holds every node's one entry, and
-        # `expand` keeps here the runs of each branching one it has met, and
-        # in `held` the number of node ids those runs hold
-        self.runs: list[list | None] | None = [None] * len(g.nodes) if g.acyclic else None
-        self.held = [0] * len(g.nodes) if g.acyclic else None
+        # `expand` keeps here, per head, the runs of each branching one it
+        # has met
+        self.runs: dict[int, dict[int, list]] | None = {} if g.acyclic else None
 
     def entry(self, node: int) -> tuple:
         """The search's entry for `node` as the first node of the paths,
@@ -500,31 +501,24 @@ class TailSearch:
         next one, numerator, denominator, path length], and moving to its
         next branch replaces the path's tail in one slice assignment.
 
-        On an acyclic graph the frame's branches are the entry's runs (see
-        `_runs`), built on its first meeting and reused at every later one,
-        from any source: per path the work follows the branch points that
-        change, and a pass-through stretch is copied in one list operation.
-        An entry whose runs all end at the tail, one per witness path, gets
-        no frame: the path so far becomes a tuple once, and its paths are
-        emitted in one loop. Its first meeting in this call builds each path
-        from that prefix, a run and `head`. Its second keeps its runs with
-        `head` appended in `ends`, grouped by weight product, and from then
-        on each group's value is computed once and each path is one
-        concatenation of the prefix and such a run. On the random DAGs of
-        the acyclic-explosion workload most small entries are met once per
-        expansion; on a diamond chain each is met once per path above it.
-        On a graph with a cycle, where an entry inside a component is mostly
-        met once, the frame holds the entry itself and its branches are
-        stepped node by node.
+        On an acyclic graph the frame's branches are the entry's runs
+        toward `head` (see `_runs`), built on its first meeting and reused
+        at every later one, from any source and in any later expansion
+        toward `head`: per path the work follows the branch points that
+        change, and a pass-through stretch, the head included where it
+        reaches the tail, is copied in one list operation. An entry whose
+        runs all end with the head, one per witness path, gets no frame:
+        the path so far becomes a tuple once, each of its paths is one
+        concatenation of that prefix and a run, and a value is computed
+        only for a run whose weight product differs from the previous
+        run's. On a graph with a cycle, where an entry inside a component
+        is mostly met once, the frame holds the entry itself and its
+        branches are stepped node by node.
         """
         if not root[2]:
             return
-        ids, memo, table = self.g.nodes, self.memo, self.runs
-        # per node whose runs all end at the tail and that this expansion has
-        # met: () after one meeting, then those runs with the head appended,
-        # in groups of consecutive runs with one weight product, which share
-        # their paths' value
-        ends: dict[int, list | tuple] = {}
+        ids, memo = self.g.nodes, self.memo
+        table = None if self.runs is None else self.runs.setdefault(head, {})
         # builds the named tuple without its Python-level constructor call
         new = tuple.__new__
         # v is the index of the node whose entry is `entry`
@@ -534,45 +528,19 @@ class TailSearch:
             while entry is not _UNIT:
                 if len(entry) > 6:
                     if table is not None:
-                        runs = table[v] or self._runs(v, entry)
-                        if len(runs) == entry[3]:
-                            # every run ends at the tail: its paths, and no frame
-                            prefix = tuple(path)
-                            tails = ends.get(v)
-                            if tails is None:
-                                # a first meeting builds each path whole: on
-                                # a random DAG most small entries are met
-                                # once, and a table would cost more than it
-                                # saves
-                                ends[v] = ()
-                                for nodes, w_num, w_den, _ in runs:
-                                    n, d = num * w_num, den * w_den
-                                    if n != seen_num or d != seen_den:
-                                        seen_num, seen_den, value = n, d, Fraction(n, d)
-                                    yield new(EmergyPath, ((*prefix, *nodes, head), value))
-                                break
-                            if not tails:
-                                tails = ends[v] = []
-                                r_num = r_den = None
-                                for nodes, w_num, w_den, _ in runs:
-                                    if w_num != r_num or w_den != r_den:
-                                        r_num, r_den, group = w_num, w_den, []
-                                        tails.append((r_num, r_den, group))
-                                    group.append(nodes + (head,))
-                            for w_num, w_den, group in tails:
-                                n, d = num * w_num, den * w_den
+                        runs = table.get(v) or self._runs(v, entry, head)
+                        if len(runs) < entry[3]:
+                            frames.append([runs, 0, num, den, len(path)])
+                            break
+                        # every run ends with the head: its paths, and no frame
+                        prefix, r_num = tuple(path), None
+                        for nodes, w_num, w_den, _ in runs:
+                            if w_num != r_num or w_den != r_den:
+                                r_num, r_den, n, d = w_num, w_den, num * w_num, den * w_den
                                 if n != seen_num or d != seen_den:
                                     seen_num, seen_den, value = n, d, Fraction(n, d)
-                                for nodes in group:
-                                    yield new(EmergyPath, (prefix + nodes, value))
-                            break
-                        frames.append([runs, 1, num, den, len(path)])
-                        nodes, w_num, w_den, v = runs[0]
-                        entry = memo[v]
-                        path += nodes
-                        num *= w_num
-                        den *= w_den
-                        continue
+                            yield new(EmergyPath, (prefix + nodes, value))
+                        break
                     frames.append([entry, 6, num, den, len(path)])
                 (v, w_num, w_den), entry = entry[4], entry[5]
                 path.append(ids[v])
@@ -582,8 +550,10 @@ class TailSearch:
                 # the path reached the tail past no small entry
                 if num != seen_num or den != seen_den:
                     seen_num, seen_den, value = num, den, Fraction(num, den)
-                # the next path's slice assignment cuts the head off again
-                path.append(head)
+                if path[-1] != head:
+                    # it did not arrive by a run; the next path's slice
+                    # assignment cuts the head off again
+                    path.append(head)
                 yield new(EmergyPath, (tuple(path), value))
             if not frames:
                 return
@@ -607,16 +577,17 @@ class TailSearch:
             num *= w_num
             den *= w_den
 
-    def _runs(self, v: int, entry: tuple) -> list:
-        """The runs of node index `v`'s branching `entry`, kept in `runs`:
-        (node ids from a branch's node through the pass-through entries
-        after it, their weight product's numerator, its denominator, the
-        index of the node the run stops at, which branches or is the tail).
+    def _runs(self, v: int, entry: tuple, head: int) -> list:
+        """The runs of node index `v`'s branching `entry` toward `head`,
+        kept in `runs[head]`: (node ids from a branch's node through the
+        pass-through entries after it, then `head` where they reach the
+        tail, their weight product's numerator, its denominator, the index
+        of the node the run stops at, which branches or is the tail).
         An entry of at most `_SMALL` witness paths splices in the runs of a
         branching entry below it while its runs then hold at most `_HELD`
-        node ids, so where every branch fits each of its runs ends at the
-        tail; a larger one keeps one run per kept branch."""
-        ids, table, sizes = self.g.nodes, self.runs, self.held
+        node ids, so where every branch fits each of its runs ends with the
+        head; a larger one keeps one run per kept branch."""
+        ids, table = self.g.nodes, self.runs[head]
         small, held = entry[3] <= _SMALL, 0
         runs = []
         for i in range(4, len(entry), 2):
@@ -627,17 +598,20 @@ class TailSearch:
                 nodes.append(ids[w])
                 r_num *= w_num
                 r_den *= w_den
+            if sub is _UNIT:
+                nodes.append(head)
             nodes = tuple(nodes)
             if small and sub is not _UNIT:
-                below = table[w] or self._runs(w, sub)
-                size = held + len(nodes) * len(below) + sizes[w]
+                below = table.get(w) or self._runs(w, sub, head)
+                # a splice holds each run below with these nodes in front
+                size = held + len(nodes) * len(below) + sum(len(run[0]) for run in below)
                 if size <= _HELD:
                     runs += [(nodes + more, r_num * n, r_den * d, x) for more, n, d, x in below]
                     held = size
                     continue
             runs.append((nodes, r_num, r_den, w))
             held += len(nodes)
-        table[v], sizes[v] = runs, held
+        table[v] = runs
         return runs
 
 

@@ -703,10 +703,10 @@ def test_bench_script_offers_count_paths_and_the_workloads():
     suites = re.search(r"\{(.*?)\}", proc.stdout).group(1).split(",")
     assert suites == ["count-paths", "load", "witness",
                       *(w["name"] for w in benchmark["workloads"])]
-    child = run_fresh([str(root / "scripts" / "bench.py"), "witness", "--child",
-                       "diamond-chain-8"])
-    out = json.loads(child.stdout.splitlines()[-1])
-    assert (out["paths"], out["witness_paths"]) == (256, 256)
+    for label, count in [("diamond-chain-8", 256), ("reduction-10", 2596)]:
+        child = run_fresh([str(root / "scripts" / "bench.py"), "witness", "--child", label])
+        out = json.loads(child.stdout.splitlines()[-1])
+        assert (out["paths"], out["witness_paths"]) == (count, count)
 
 
 def test_parity_script_finds_a_tree_identical_to_itself(tmp_path):

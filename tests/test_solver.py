@@ -437,8 +437,9 @@ class TestAgainstOracles:
         """One `TailSearch` serves every arc out of its tail: expanding its
         entries toward each head in turn, and toward all heads at once with
         the expansions interleaved path by path, gives each head exactly the
-        witness paths and values of a fresh `solve_general`. The runs the
-        expansion keeps on the search never hold a head."""
+        witness paths and values of a fresh `solve_general`. The expansion
+        keeps its runs on the search per head, and in each head's table
+        every run that stops at the tail ends with that head."""
         for g in make():
             heads = {}
             for tail, head in sorted(g.arcs):
@@ -465,9 +466,12 @@ class TestAgainstOracles:
                         if p is not None:
                             got[head].append(p)
                 assert {head: tuple(paths) for head, paths in got.items()} == expected
+                if g.acyclic and any(entry[2] for _, entry in roots):
+                    assert set(search.runs) == set(out)
                 at = g.index[tail]
-                for runs in search.runs or ():
-                    assert all(run[0][-1] == tail for run in runs or () if run[3] == at)
+                for head, table in (search.runs or {}).items():
+                    assert all(run[0][-1] == head
+                               for runs in table.values() for run in runs if run[3] == at)
 
     @given(emergy_graphs())
     @settings(max_examples=80, deadline=None)
@@ -553,6 +557,23 @@ class TestAgainstOracles:
             expected = tuple(listed_emergy_paths(g, arc))
             assert tuple(solve_general(g, arc).witness_paths()) == expected
             assert tuple(iter_emergy_paths(g, arc)) == expected
+
+    def test_cyclic_witness_streams(self):
+        """On a graph with a cycle the expansion keeps no runs and steps the
+        branches node by node: streaming the 2,596 witness paths of the
+        split-only reduction of `random_digraph(10, 0.6, 1)` holds what one
+        path and its frames take, under 64 KiB."""
+        inst = build_reduction(random_digraph(10, 0.6, 1))
+        result = solve_general(inst.graph, inst.target_arc)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in result.witness_paths())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not inst.graph.acyclic
+        assert count == 2596
+        assert peak < 64 * 1024
 
     def test_split_only_chain_witness_is_its_listing(self):
         """Every path of a diamond chain coexists, so its witness is the
