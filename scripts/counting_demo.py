@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
 """Walk through the path-counting pipeline on one random digraph.
 
-Shows the wrapped emergy instance, the exact value of the search toward
-the target vertex (read as `reduction_counts` reads it) and the empower of
-the target arc, the decoded per-length digits, and the direct enumeration
-they must match.
+Shows the wrapped emergy instance, the value at the target vertex (the
+empower of the target arc divided by its exit weight, read as
+`reduction_counts` reads it) and that empower, the decoded per-length
+digits, and the direct enumeration they must match.
 """
 
 from __future__ import annotations
 
 import argparse
-from fractions import Fraction
 
 from empower.generators import random_digraph
 from empower.graph import serialize_graph
 from empower.hardness import build_reduction, decode_counts, dfs_counts
-from empower.solver import TailSearch
+from empower.solver import solve_general
 
 
 def main():
@@ -32,14 +31,13 @@ def main():
     print(f"bound B = {inst.bound}")
     print("wrapped instance:")
     print("  " + serialize_graph(inst.graph).replace("\n", "\n  ").rstrip())
-    search = TailSearch(inst.graph, d.target)
-    num, den, paths = search.entry(inst.source)[:3]
-    value = Fraction(num, den)
+    result = solve_general(inst.graph, inst.target_arc)
+    value = result.value / inst.graph.arcs[inst.target_arc]
     # one search frame per node entered from another strongly connected
     # component, one per path prefix entered inside a component
-    print(f"value at the target = {value} ({paths} emergy paths, "
-          f"{search.frame_count} search frames)")
-    print(f"Em(target arc) = value x exit weight = {value * inst.graph.arcs[inst.target_arc]}")
+    print(f"value at the target = {value} ({result.stats.path_count} emergy paths, "
+          f"{result.stats.tree_nodes} search frames)")
+    print(f"Em(target arc) = value x exit weight = {result.value}")
     decoded = decode_counts(value, inst.bound, len(d.vertices) + 1)
     direct = dfs_counts(d)
     print(f"decoded digits : {dict(decoded.counts)}")

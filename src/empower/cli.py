@@ -184,15 +184,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check_cograph(args) -> int:
-    from .compat import build_compatibility_graph, find_induced_p4
-    from .solver import solve_general
+    from .compat import compatibility_graph, find_induced_p4
+    from .solver import solve_listing
 
     g = _load(args)
-    # count the paths without listing them, so the cap comes before the O(n^2) work
-    n = solve_general(g, args.arc).stats.path_count
+    # the listing counts its paths before listing any, so the cap comes
+    # before the O(n^2) work
+    listing = solve_listing(g, args.arc)
+    n = listing.stats.path_count
     if n > args.cap:
         _fail(f"{n} vertices exceed the induced-path check cap {args.cap}", 3)
-    cg = build_compatibility_graph(g, args.arc)
+    cg = compatibility_graph(g, listing.witness_paths())
     witness = find_induced_p4(cg, cap=args.cap)
     print(f"{len(cg.vertices)} vertices, {len(cg.edges)} edges")
     if witness is not None:

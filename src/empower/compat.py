@@ -12,7 +12,7 @@ that fact.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import EmergyGraph, NodeKind
 from .paths import EmergyPath, enumerate_emergy_paths
@@ -71,13 +71,19 @@ class CompatibilityGraph(NamedTuple):
         return masks
 
 
-def build_compatibility_graph(g: EmergyGraph, arc: tuple[int, int]) -> CompatibilityGraph:
-    """One vertex per emergy path of the arc, one edge per compatible pair."""
-    vertices = tuple(enumerate_emergy_paths(g, arc))
+def compatibility_graph(g: EmergyGraph, paths: Iterable[EmergyPath]) -> CompatibilityGraph:
+    """One vertex per path of `paths`, the emergy paths of one arc in
+    lexicographic order, one edge per compatible pair."""
+    vertices = tuple(paths)
     edges = frozenset(
         (i, j) for i, j in combinations(range(len(vertices)), 2)
         if compatible(g, vertices[i].nodes, vertices[j].nodes))
     return CompatibilityGraph(vertices, edges)
+
+
+def build_compatibility_graph(g: EmergyGraph, arc: tuple[int, int]) -> CompatibilityGraph:
+    """One vertex per emergy path of the arc, one edge per compatible pair."""
+    return compatibility_graph(g, enumerate_emergy_paths(g, arc))
 
 
 def find_induced_p4(cg: CompatibilityGraph, cap: int = 400) -> tuple[int, int, int, int] | None:

@@ -5,9 +5,9 @@ empower query: wrap the digraph in an emergy instance where every original
 vertex is a split, every original arc carries weight 1/B for a bound B on
 the number of simple paths, and leak the remaining weight of each vertex to
 a drain output. With no co-products present, every set of emergy paths is
-compatible, so the optimum is the plain sum over all paths. The search
-toward the target vertex, the query arc's tail, gives that sum without the
-exit weight: a path with i arcs contributes exactly 1/B^(i-2). Its base-B
+compatible, so the optimum is the plain sum over all paths. The solve of
+the query arc gives that sum times the exit weight, which is divided out
+again: a path with i arcs then contributes exactly 1/B^(i-2). Its base-B
 digits are the per-length path counts, read by integer division once one
 power of B makes it an integer; a direct backtracking counter serves as
 the independent cross-check.
@@ -245,17 +245,18 @@ def dfs_counts(d: Digraph) -> PathCountVector:
 
 
 def reduction_counts(d: Digraph) -> PathCountVector:
-    """Search the wrapped instance toward the target vertex and decode the
-    digits of the source's value (its emergy is 1): no exit weight comes in.
+    """Solve the wrapped instance's target arc and decode the digits of its
+    empower divided by the exit weight, the source's value at the target
+    vertex (its emergy is 1).
 
     The length-2 digit is always zero (the shortest wrapped path has three
     arcs) and is asserted, not skipped.
     """
-    from .solver import TailSearch  # `gen` reads digraphs and solves nothing
+    from .solver import solve_general  # `gen` reads digraphs and solves nothing
 
     inst = build_reduction(d)
-    num, den = TailSearch(inst.graph, d.target).entry(inst.source)[:2]
-    vector = decode_counts(Fraction(num, den), inst.bound, len(d.vertices) + 1)
+    value = solve_general(inst.graph, inst.target_arc).value / inst.graph.arcs[inst.target_arc]
+    vector = decode_counts(value, inst.bound, len(d.vertices) + 1)
     assert vector.count(2) == 0, "a wrapped path needs at least three arcs"
     return vector
 

@@ -5,16 +5,18 @@ itself, and is simple except that the final node l' may coincide with one
 earlier node (that is how a path may close a cycle exactly once). Its value
 is the product of its arc weights times the emergy of its source.
 
-The listing is the solver's path search toward the arc tail, expanded with
-every branch kept, a co-product's too. So it enters only nodes that can
-reach the tail and closes dead nodes as the search does. It holds the
-search's entries: one per node on an acyclic graph, where the paths stream
-(`empower paths` peaks near 15 MB on the 262,144 paths of an 18-layer
-diamond chain), and on a graph with a cycle each source's tree of live
-prefixes, which on a split-only graph is the tree `solve --state` keeps.
-In a dense component the tree shares an entry between the prefixes that
-hold the same nodes of the component, so on the 751,690 paths of the
-split-only reduction of `random_digraph(13, 0.6, 1)` it peaks at 17 MB.
+The listing is a solve (`solver.solve_listing`): the solver's path search
+toward the arc tail with every branch point read as a split, keeping every
+branch, a co-product's too, so its witness is every path. So it enters only
+nodes that can reach the tail and closes dead nodes as the search does, and
+it counts the paths and totals their values before listing any. It holds
+the search's entries: one per node on an acyclic graph, where the paths
+stream (`empower paths` peaks near 16 MB on the 262,144 paths of an
+18-layer diamond chain), and on a graph with a cycle each source's tree of
+live prefixes, which on a split-only graph is the tree `solve --state`
+keeps. In a dense component the tree shares an entry between the prefixes
+that hold the same nodes of the component, so on the 751,690 paths of the
+split-only reduction of `random_digraph(13, 0.6, 1)` it peaks at 18 MB.
 
 A listed path is an `EmergyPath`, defined in `empower.solver` next to the
 expansion that builds every one and imported here, so this module depends
@@ -25,8 +27,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graph import EmergyGraph, require_arc
-from .solver import EmergyPath, ListingSearch
+from .graph import EmergyGraph
+from .solver import EmergyPath, solve_listing
 
 
 def enumerate_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> list[EmergyPath]:
@@ -41,16 +43,8 @@ def enumerate_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> list[EmergyP
 
 def iter_emergy_paths(g: EmergyGraph, arc: tuple[int, int]) -> Iterator[EmergyPath]:
     """The emergy paths ending with `arc`, yielded one at a time in
-    lexicographic order.
-
-    It runs the path search toward the arc tail and expands each source's
-    entry, ascending, as `solve_general` does, but the search keeps every
-    live branch (`solver.ListingSearch`). Assumes a valid graph (interior
-    nodes are never sources). An unknown arc raises on the first `next`.
+    lexicographic order: the witness of `solver.solve_listing`. Assumes a
+    valid graph (interior nodes are never sources). An unknown arc raises
+    on the first `next`.
     """
-    tail, head = require_arc(g, arc)
-    w_num, w_den = g.arcs[tail, head].as_integer_ratio()
-    search = ListingSearch(g, tail)
-    for s in g.sources:
-        num, den = g.source_emergy[s].as_integer_ratio()
-        yield from search.expand(s, search.entry(s), num * w_num, den * w_den, head)
+    yield from solve_listing(g, arc).witness_paths()

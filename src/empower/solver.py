@@ -59,18 +59,23 @@ expansion builds no runs and steps the branches node by node: an entry
 inside a component belongs to one path prefix, so most entries are met
 once and building their runs would cost more than it saves.
 
-The arc's path listing (`paths.iter_emergy_paths`) is the same search and
-expansion with every branch kept (`ListingSearch`), so it closes dead nodes
-and memoizes as a solve does and holds its entries: one per node on an
-acyclic graph, each source's tree of live prefixes on a graph with a cycle,
-which on a split-only graph is the tree a solve keeps for its witness and
-which shares its entries inside dense components.
-`EmergyPath`, the path type of witnesses and listings alike, is defined
-here, beside the expansion that builds every one; `empower.paths` imports
-it from here.
+The arc's path listing is a solve too (`solve_listing`): that recursion
+with every branch point read as a split. Its search (`ListingSearch`)
+keeps and adds every branch, a co-product's too, so its witness is every
+emergy path of the arc, counted before any is listed (`path_count ==
+witness_count`), and its value is their total. It runs the one root loop
+(`_solve`) and the same expansion, so it closes dead nodes and memoizes as
+a solve does and holds its entries: one per node on an acyclic graph, each
+source's tree of live prefixes on a graph with a cycle, which on a
+split-only graph is the tree a solve keeps for its witness and which
+shares its entries inside dense components. `paths.iter_emergy_paths`
+yields its witness. `EmergyPath`, the path type of witnesses and listings
+alike, is defined here, beside the expansion that builds every one;
+`empower.paths` imports it from here.
 
 `brute_force_solve` maximizes over all compatible subsets directly and
-exists purely as an oracle for small instances.
+exists purely as an oracle for small instances. It runs one listing: the
+count for its cap, then the paths for its compatibility graph.
 """
 
 from __future__ import annotations
@@ -127,7 +132,8 @@ class SolveStats(NamedTuple):
 
 
 class SolveResult:
-    """The optimum of one query; the witness is expanded on first use.
+    """The optimum of one query, or from `solve_listing` the total of all
+    the arc's emergy paths; the witness is expanded on first use.
 
     `witness_paths()` produces the witness paths in lexicographic order,
     one at a time.
@@ -318,6 +324,9 @@ class TailSearch:
     predecessors.
     """
 
+    # whether every branch point keeps all its branches, a listing's
+    keeps_all = False
+
     def __init__(self, g: EmergyGraph, tail: int):
         self.g = g
         tail = g.index[tail]
@@ -462,12 +471,13 @@ class TailSearch:
         """The entry of node index `v` from two or more live branches,
         ascending by id and flat (option, entry, option, entry, ...).
 
-        A split adds its branches (their paths coexist) and reduces the sum;
-        a co-product keeps the first strictly best branch, so ties go to the
-        smallest successor id. Branching anywhere else is a structural error.
+        A split adds its branches (their paths coexist) and reduces the sum,
+        as every branch point of a listing does (`keeps_all`); a co-product
+        keeps the first strictly best branch, so ties go to the smallest
+        successor id. Branching anywhere else is a structural error.
         """
         kind, paths, branches = self.g.kinds[v], 0, iter(kept)
-        if kind is NodeKind.SPLIT:
+        if kind is NodeKind.SPLIT or self.keeps_all:
             num, den, witness = 0, 1, 0
             for (_, w_num, w_den), sub in zip(branches, branches):
                 n, d = w_num * sub[0], w_den * sub[1]
@@ -617,24 +627,21 @@ class TailSearch:
 
 class ListingSearch(TailSearch):
     """The search that keeps every live branch, whatever the node's kind,
-    so its expansion is the arc's listing. It sums only the path counts:
-    `expand` values each path from the arc weights."""
+    and adds them as a split does, so its entries count and value every
+    path and its expansion is the arc's listing."""
 
-    def _combine(self, v: int, kept: list) -> tuple:
-        paths = sum(sub[2] for sub in kept[1::2])
-        return 1, 1, paths, paths, *kept
+    keeps_all = True
 
 
-def solve_general(g: EmergyGraph, arc: tuple[int, int]) -> SolveResult:
-    """Maximum empower of `arc`: the search toward the arc tail from every
-    source, ascending, with the witness unexpanded until asked for. The
-    total is summed as an unreduced integer pair, multiplied by the arc
-    weight once and becomes one `Fraction` at the end; it is 0, with an
-    empty witness, when no source reaches the arc.
-    """
+def _solve(g: EmergyGraph, arc: tuple[int, int], search_class: type[TailSearch]) -> SolveResult:
+    """The search of `search_class` toward the arc tail from every source,
+    ascending, with the witness unexpanded until asked for. The total is
+    summed as an unreduced integer pair, multiplied by the arc weight once
+    and becomes one `Fraction` at the end; it is 0, with an empty witness,
+    when no source reaches the arc."""
     tail, head = require_arc(g, arc)
     w_num, w_den = g.arcs[tail, head].as_integer_ratio()
-    search = TailSearch(g, tail)
+    search = search_class(g, tail)
     num, den, paths, witness = 0, 1, 0, 0
     roots = []
     for s in g.sources:
@@ -654,20 +661,35 @@ def solve_general(g: EmergyGraph, arc: tuple[int, int]) -> SolveResult:
     return SolveResult(Fraction(num * w_num, den * w_den), stats, expand)
 
 
+def solve_general(g: EmergyGraph, arc: tuple[int, int]) -> SolveResult:
+    """Maximum empower of `arc`, with its witness: the paths of the best
+    compatible set, expanded on first use (see `_solve`)."""
+    return _solve(g, arc, TailSearch)
+
+
+def solve_listing(g: EmergyGraph, arc: tuple[int, int]) -> SolveResult:
+    """The listing of `arc` as a solve: its witness is every emergy path of
+    the arc, so `stats.path_count == stats.witness_count` counts them before
+    any is listed, `witness_paths()` lists them in lexicographic order and
+    `value` is their total."""
+    return _solve(g, arc, ListingSearch)
+
+
 def brute_force_solve(g: EmergyGraph, arc: tuple[int, int], cap: int = 20) -> SolveResult:
     """Exhaustive maximization over all pairwise-compatible path subsets.
 
-    The oracle the search is tested against; refuses more than `cap`
-    paths, counted by the search before any path is listed, and past that
-    guard counts the paths it lists. Ties are broken toward the
-    lexicographically smallest path set.
+    The oracle the search is tested against. It runs one listing, refuses
+    more than `cap` paths from its count before any path is listed, and
+    past that guard builds the compatibility graph from its paths. Ties are
+    broken toward the lexicographically smallest path set.
     """
-    from .compat import build_compatibility_graph  # only this oracle needs it
+    from .compat import compatibility_graph  # only this oracle needs it
 
-    count = solve_general(g, arc).stats.path_count
+    listing = solve_listing(g, arc)
+    count = listing.stats.path_count
     if count > cap:
         raise ValueError(f"{count} paths exceed the brute-force cap {cap}")
-    cg = build_compatibility_graph(g, arc)
+    cg = compatibility_graph(g, listing.witness_paths())
     paths, masks, n = cg.vertices, cg.adjacency, len(cg.vertices)
 
     best_value = Fraction(0)

@@ -20,6 +20,7 @@ from empower.generators import diamond_chain, random_digraph
 from empower.graph import parse_graph, serialize_graph, validate_graph
 from empower.hardness import parse_digraph
 from empower.paths import enumerate_emergy_paths
+from empower.solver import TailSearch
 
 TEXTBOOK = str(textbook_path())
 
@@ -318,15 +319,18 @@ class TestCheckCographCommand:
         assert main(["check-cograph", TEXTBOOK, "--arc", "4,7"]) == 0
         assert capsys.readouterr().out.startswith("6 vertices, 14 edges")
 
-    def test_injected_four_path_exits_one(self, monkeypatch, capsys):
+    def test_injected_four_path_exits_one(self, textbook, monkeypatch, capsys):
+        """The command builds its graph from the arc's listing and checks
+        the graph it built."""
         from empower.compat import CompatibilityGraph
         from empower.paths import EmergyPath
 
-        def fake_build(g, arc):
+        def fake_build(g, paths):
+            assert list(paths) == enumerate_emergy_paths(textbook, (4, 7))
             vertices = tuple(EmergyPath((i,), Fraction(1)) for i in range(4))
             return CompatibilityGraph(vertices, frozenset({(0, 1), (1, 2), (2, 3)}))
 
-        monkeypatch.setattr("empower.compat.build_compatibility_graph", fake_build)
+        monkeypatch.setattr("empower.compat.compatibility_graph", fake_build)
         assert main(["check-cograph", TEXTBOOK, "--arc", "4,7"]) == 1
         assert "induced four-path" in capsys.readouterr().out
 
@@ -338,10 +342,10 @@ class TestCheckCographCommand:
         f = tmp_path / "dc16.eg"
         f.write_text(serialize_graph(g))
 
-        def refuse_building(g, arc):
-            raise AssertionError("built the compatibility graph over the cap")
+        def refuse_listing(*args):
+            raise AssertionError("listed the paths over the cap")
 
-        monkeypatch.setattr("empower.compat.build_compatibility_graph", refuse_building)
+        monkeypatch.setattr(TailSearch, "expand", refuse_listing)
         assert main(["check-cograph", str(f), "--arc", f"{arc[0]},{arc[1]}",
                      "--cap", "10"]) == 3
         captured = capsys.readouterr()
@@ -627,6 +631,29 @@ def test_python_m_runs_every_command(argv, digraph_file, capsys):
     proc = run_fresh(["-m", "empower.cli", *argv])
     assert main(argv) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", TEXTBOOK, "--arc", "4,7"],
+    ["solve", TEXTBOOK, "--arc", "4,7", "--method", "brute"],
+    ["paths", TEXTBOOK, "--arc", "4,7"],
+    ["check-cograph", TEXTBOOK, "--arc", "4,7"],
+    ["count-paths", "DIGRAPH", "--method", "reduction"],
+], ids=["solve", "solve-brute", "paths", "check-cograph", "count-paths-reduction"])
+def test_one_search_per_command(argv, digraph_file, monkeypatch):
+    """Every query runs one search: the brute-force oracle and
+    `check-cograph` take the path count for their caps and the paths for
+    their compatibility graphs from the one listing."""
+    made = []
+    init = TailSearch.__init__
+
+    def counted(self, g, tail):
+        made.append(type(self).__name__)
+        init(self, g, tail)
+
+    monkeypatch.setattr(TailSearch, "__init__", counted)
+    assert main([digraph_file if a == "DIGRAPH" else a for a in argv]) == 0
+    assert len(made) == 1, made
 
 
 @pytest.fixture

@@ -6,11 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from empower.generators import random_cyclic, random_dag
 from empower.paths import enumerate_emergy_paths, iter_emergy_paths
+from empower.solver import solve_listing
 from helpers import (
     concat_paths,
     cyclic_core_graphs,
@@ -99,6 +100,11 @@ class TestEnumeration:
             assert enum == sorted(enum)
 
     @given(st.integers(0, 10_000))
+    @example(0)
+    @example(1)
+    @example(2)
+    @example(3)
+    @example(4)
     @settings(max_examples=30, deadline=None)
     def test_every_generator_family_against_backtracking(self, seed):
         for g in family_instances(seed):
@@ -117,10 +123,15 @@ class TestEnumeration:
 
     @staticmethod
     def check_against_backtracking(g):
-        """The listing, the search's expansion with every branch kept,
-        against the tests' own backtracking walk: nodes, values and order."""
+        """The listing, the witness of `solve_listing`, against the tests'
+        own backtracking walk: nodes, values and order. It counts its paths
+        before listing any, and its value is their total."""
         for arc in sorted(g.arcs):
-            assert enumerate_emergy_paths(g, arc) == listed_emergy_paths(g, arc)
+            paths = enumerate_emergy_paths(g, arc)
+            assert paths == listed_emergy_paths(g, arc)
+            listing = solve_listing(g, arc)
+            assert listing.stats.path_count == listing.stats.witness_count == len(paths)
+            assert listing.value == sum(p.value for p in paths)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)

@@ -32,7 +32,7 @@ from empower.graph import (
 )
 from empower.hardness import build_reduction, count_simple_paths
 from empower.paths import EmergyPath, enumerate_emergy_paths, iter_emergy_paths
-from empower.solver import TailSearch, brute_force_solve, solve_general
+from empower.solver import TailSearch, brute_force_solve, solve_general, solve_listing
 from helpers import (
     TrieNode,
     arc_with_most_paths,
@@ -129,7 +129,7 @@ def descendants(succ: dict[int, tuple[int, ...]], v: int) -> set[int]:
 
 
 def refuse_listing(*args):
-    raise AssertionError("enumerate_emergy_paths called")
+    raise AssertionError("the paths were listed")
 
 
 def textbook_source_paths(textbook, source):
@@ -580,12 +580,24 @@ class TestAgainstOracles:
         arc's whole listing, values included; the backtracking listing of
         the tests checks the runs up to 4,096 paths, through entries above
         and below the most paths the expansion splices (`_SMALL`, 64), and
-        the package's listing, which expands the same way."""
+        the package's listing, which expands the same way. On a split-only
+        graph the listing is the solve: on the chains and on the reductions
+        of `random_digraph(9, 0.5, seed)`, seeds 0-4, `solve_listing` gives
+        `solve_general`'s value, stats and paths."""
+        instances = []
         for layers in range(1, 13):
             g, arc = diamond_chain(layers)
             expected = tuple(listed_emergy_paths(g, arc))
             assert tuple(solve_general(g, arc).witness_paths()) == expected
             assert tuple(iter_emergy_paths(g, arc)) == expected
+            instances.append((g, arc))
+        for seed in range(5):
+            inst = build_reduction(random_digraph(9, 0.5, seed))
+            instances.append((inst.graph, inst.target_arc))
+        for g, arc in instances:
+            solved, listing = solve_general(g, arc), solve_listing(g, arc)
+            assert (listing.value, listing.stats) == (solved.value, solved.stats)
+            assert tuple(listing.witness_paths()) == tuple(solved.witness_paths())
 
 
 class TestBeyondTheOracles:
@@ -990,7 +1002,7 @@ class TestBruteForce:
         assert brute_force_solve(g, arc, cap=32).value == 1
 
     def test_cap_is_checked_before_listing_paths(self, monkeypatch):
-        monkeypatch.setattr("empower.compat.enumerate_emergy_paths", refuse_listing)
+        monkeypatch.setattr(TailSearch, "expand", refuse_listing)
         g, arc = diamond_chain(16)
         with pytest.raises(ValueError, match="^65536 paths exceed the brute-force cap 20$"):
             brute_force_solve(g, arc)
