@@ -40,10 +40,15 @@ suites:
   are most (`DAG_SEEDS`). One more instance has a cycle, so there the
   expansion steps node by node: the split-only counting reduction of
   `random_digraph(10, 0.6, 1)` at its target arc, whose 2,596 paths are
-  all witness paths. One more process builds a ladder (63 splits in a
-  line, each also feeding its own line of 1,000 pass-through splits into
-  the arc tail; 64 witness paths) and reports the `tracemalloc` peak and
-  the time of streaming its witness once. The sides
+  all witness paths. One more is `diamond_chain(10)` with each arm a line
+  of 200 pass-through splits (1,024 paths), where the branch points above
+  the bottom two layers keep no runs and their long arms are stepped node
+  by node. One more process builds a ladder (63 splits in a line, each
+  also feeding its own line of 1,000 pass-through splits into the arc
+  tail; 64 witness paths) and reports the time of streaming its witness
+  once, then the `tracemalloc` peak and the time of streaming it once
+  more under `tracemalloc`, which traces every int the stepping allocates
+  and so slows node-by-node stepping most. The sides
   take turns instance by instance, so a drift in the host's speed falls on
   both alike. Every side must find the same witness counts.
 - one suite per workload of BENCHMARK.json (`cli-queries`,
@@ -106,10 +111,13 @@ WITNESS_INSTANCES = {
                           "with the most paths, ties low" for s in DAG_SEEDS},
     "reduction-10": "hardness.build_reduction(generators.random_digraph(10, 0.6, 1)) at its "
                     "target arc: split-only, with a cycle",
+    "long-arms-200": "diamond_chain(10) with each arm a line of 200 pass-through splits, at "
+                     "its output arc: 1,024 paths of 2,013 nodes",
 }
 LADDER = ("ladder-1000: source 1, splits 2-64 in a line, each also feeding its own line of "
           "1,000 pass-through splits into the arc tail, the last one the tail too")
 WITNESS_STAGES = ("solve_ms", "witness_ms")
+LADDER_STAGES = ("stream_ms", "traced_ms")
 
 
 def run(argv: list[str], pythonpath: Path, write_bytecode: bool = False) -> str:
@@ -316,9 +324,32 @@ def ladder(stretch: int):
     return EmergyGraph(kinds, {1: Fraction(1)}, arcs), (tail, out)
 
 
+def long_arm_chain(layers: int, arm: int):
+    """The instance of `long-arms-*` in `WITNESS_INSTANCES`: `diamond_chain(layers)` with each
+    arm a line of `arm` pass-through splits, and its output arc."""
+    from fractions import Fraction
+
+    from empower.graph import EmergyGraph, NodeKind
+
+    kinds = {1: NodeKind.SOURCE, 2: NodeKind.SPLIT}
+    arcs = {(1, 2): Fraction(1)}
+    entry = 2
+    for _ in range(layers):
+        merge = entry + 2 * arm + 1
+        for first in (entry + 1, entry + 1 + arm):
+            line = [entry, *range(first, first + arm), merge]
+            for a, b in zip(line, line[1:]):
+                kinds[b] = NodeKind.SPLIT
+                arcs[a, b] = Fraction(1, 2) if a == entry else Fraction(1)
+        entry = merge
+    kinds[entry + 1] = NodeKind.OUTPUT
+    arcs[entry, entry + 1] = Fraction(1)
+    return EmergyGraph(kinds, {1: Fraction(1)}, arcs), (entry, entry + 1)
+
+
 def witness_child(label: str) -> None:
     """Time one instance's solve and witness, or stream the ladder's
-    witness under `tracemalloc`; print a JSON line."""
+    witness, untraced and then under `tracemalloc`; print a JSON line."""
     import tracemalloc
 
     from empower.generators import diamond_chain, random_dag, random_digraph
@@ -328,18 +359,26 @@ def witness_child(label: str) -> None:
 
     if label == "ladder-1000":
         g, arc = ladder(1000)
-        result = solve_general(g, arc)
+        paths = solve_general(g, arc).witness_paths
+        started = time.perf_counter()
+        count = sum(1 for _ in paths())
+        stream_ms = (time.perf_counter() - started) * 1000
+        # a fresh solve, so the traced stream builds its runs again
+        paths = solve_general(g, arc).witness_paths
         tracemalloc.start()
         started = time.perf_counter()
-        count = sum(1 for _ in result.witness_paths())
-        ms = (time.perf_counter() - started) * 1000
+        sum(1 for _ in paths())
+        traced_ms = (time.perf_counter() - started) * 1000
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        print(json.dumps({"witness_paths": count, "peak_bytes": peak, "traced_ms": ms}))
+        print(json.dumps({"witness_paths": count, "peak_bytes": peak, "stream_ms": stream_ms,
+                          "traced_ms": traced_ms}))
         return
     kind, _, number = label.rpartition("-")
     if kind == "diamond-chain":
         g, arc = diamond_chain(int(number))
+    elif kind == "long-arms":
+        g, arc = long_arm_chain(10, int(number))
     elif kind == "reduction":
         inst = build_reduction(random_digraph(int(number), 0.6, 1))
         g, arc = inst.graph, inst.target_arc
@@ -384,13 +423,12 @@ def witness(sides: dict[str, Path], repeats: int) -> dict:
         results[name]["ladder-1000"] = {
             "witness_paths": ladder_runs[0]["witness_paths"],
             "peak_kib": summary([o["peak_bytes"] / 1024 for o in ladder_runs]),
-            "traced_ms": summary([o["traced_ms"] for o in ladder_runs])}
+            **{stage: summary([o[stage] for o in ladder_runs]) for stage in LADDER_STAGES}}
     rows = {f"{label} {stage}": [results[name][label][stage]["median"] for name in sides]
             for label in WITNESS_INSTANCES for stage in WITNESS_STAGES}
-    rows["ladder-1000 peak_kib"] = [results[name]["ladder-1000"]["peak_kib"]["median"]
-                                    for name in sides]
-    rows["ladder-1000 traced_ms"] = [results[name]["ladder-1000"]["traced_ms"]["median"]
-                                     for name in sides]
+    for stage in ("peak_kib", *LADDER_STAGES):
+        rows[f"ladder-1000 {stage}"] = [results[name]["ladder-1000"][stage]["median"]
+                                        for name in sides]
     table("instance stage", list(sides), rows)
     return {
         "metric": "per instance, the median over 15 calls in a fresh process of each stage's "
@@ -401,8 +439,9 @@ def witness(sides: dict[str, Path], repeats: int) -> dict:
             "solve_ms": "solver.solve_general(g, arc): the search, witness unexpanded",
             "witness_ms": "reading the result's .witness: every witness path expanded into "
                           "one tuple",
-            "peak_kib": "ladder only: tracemalloc peak of streaming witness_paths() once, "
-                        "the runs the expansion keeps included, KiB",
+            "stream_ms": "ladder only: wall time of streaming witness_paths() once, ms",
+            "peak_kib": "ladder only: tracemalloc peak of streaming witness_paths() of a fresh "
+                        "solve once more, the runs the expansion keeps included, KiB",
             "traced_ms": "ladder only: that streaming's wall time under tracemalloc, ms",
         },
         "results": results,

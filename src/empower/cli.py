@@ -13,8 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn
 
-from .graph import (_MAX_DIGITS, _TOO_LONG, EmergyGraph, ParseError, parse_graph, parse_id,
-                    serialize_graph, validate_graph)
+from .graph import (_MAX_DIGITS, _TOO_LONG, EmergyGraph, ParseError, TokenError, parse_graph,
+                    read_id, serialize_graph, validate_graph)
 
 # A process runs one command: the solver, the listing, the hardness
 # reduction, the generators and the compatibility graph are imported inside
@@ -45,8 +45,8 @@ def _arc(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected L,LP, got {text!r}")
     try:  # ids as a file has them: ASCII digits only
-        return tuple(parse_id(part.strip(), "node id", 1, 1) for part in parts)
-    except ParseError:
+        return tuple(read_id(part.strip(), "node id", 0) for part in parts)
+    except TokenError:
         raise argparse.ArgumentTypeError(f"arc endpoints must be integers: {text!r}") from None
 
 
@@ -205,13 +205,20 @@ def cmd_check_cograph(args) -> int:
     return 0
 
 
-def cmd_count_paths(args) -> int:
-    from .hardness import count_simple_paths, parse_digraph
+def _load_digraph(path: str):
+    """The digraph in file `path` if it parses; else a refusal naming the file."""
+    from .hardness import parse_digraph
 
     try:
-        d = parse_digraph(_read(args.file))
+        return parse_digraph(_read(path))
     except ValueError as exc:
-        _fail(f"{args.file}: {exc}", 2)
+        _fail(f"{path}: {exc}", 2)
+
+
+def cmd_count_paths(args) -> int:
+    from .hardness import count_simple_paths
+
+    d = _load_digraph(args.file)
     methods = ["reduction", "dfs"] if args.method == "both" else [args.method]
     counts = {m: count_simple_paths(d, m) for m in methods}
     for m in methods:
@@ -251,10 +258,9 @@ def cmd_gen(args) -> int:
         else:
             if args.digraph is None:
                 _fail("the reduction family needs --digraph FILE", 2)
-            from .hardness import build_reduction, parse_digraph
+            from .hardness import build_reduction
 
-            d = parse_digraph(_read(args.digraph))
-            inst = build_reduction(d)
+            inst = build_reduction(_load_digraph(args.digraph))
             header = [f"reduction of {args.digraph}; bound={inst.bound}",
                       f"target arc: {inst.target_arc[0]},{inst.target_arc[1]}"]
             text = serialize_graph(inst.graph)

@@ -212,14 +212,6 @@ def _rational(token: str, k: int) -> Fraction:
     return Fraction(int(num), int(den or 1))
 
 
-def parse_id(token: str, what: str, line: int, col: int) -> int:
-    """A node or vertex id: ASCII digits only, else a ParseError."""
-    try:
-        return read_id(token, what, 0)
-    except TokenError as error:
-        raise ParseError(error.args[0], line, col) from None
-
-
 def parse_graph(text: str) -> EmergyGraph:
     """Parse the line-oriented emergy graph format.
 

@@ -34,30 +34,31 @@ what is compatible, and its weight, a positive factor common to every
 path, changes no comparison and no tie: `solve_general` multiplies the
 tail's total by w(t, h) once and appends h to each witness path.
 
-The expansion steps from branch point to branch point. A branching entry,
-one with several kept branches, is met once per path into it; on an acyclic
-graph, where the memo shares every entry between the predecessors of its
-node, that is many times. There its first meeting toward a head turns each
-branch into a run: the node ids from the branch's node through the
-pass-through entries after it, up to the next branching entry, or through
-the tail and then the head, with the run's weight product as an unreduced
-integer pair. An entry of at most `_SMALL` witness paths splices in the
-runs of the branching entries below it while its runs hold at most `_HELD`
-node ids. Where every branch fits, each of its runs ends with the head,
-and every meeting emits its paths in one loop: each path is one tuple
-concatenation of the path so far and a run, and a value is computed only
-where a run's weight product differs from the previous run's. Every later
-meeting toward that head, from any source and in any later expansion,
-reuses the runs, so per path the work follows the branch points above the
-small entries that change. The runs are kept per head and node, whose one
-entry the memo holds: one per kept branch of a larger entry, none longer
-than the longest pass-through stretch plus two, and at most `_SMALL` of a
-small one, holding at most `_HELD` node ids besides its unspliced
-branches, so the witness still streams. One search serves every arc out of
-its tail, each head with its own runs. On a graph with a cycle the
-expansion builds no runs and steps the branches node by node: an entry
-inside a component belongs to one path prefix, so most entries are met
-once and building their runs would cost more than it saves.
+The expansion walks the kept branches depth first. A pass-through entry,
+one with a single kept branch, is followed inline; a branching entry, one
+with several, gets a frame, and each of its later branches starts with one
+slice assignment of the path. A branching entry is met once per path into
+it; on an acyclic graph, where the memo shares every entry between the
+predecessors of its node, that is many times. So there an entry of at most
+`_SMALL` witness paths gets runs toward a head on its first meeting: all
+of its witness paths from its successors on, each ending with the head,
+with its weight product as an unreduced integer pair, or none, where they
+would hold more than `_HELD` node ids. Every meeting of an entry with runs,
+from any source and in any later expansion toward that head, emits its
+paths with no frame in one loop: each path is one tuple concatenation of
+the path so far and a run, and a value is computed only where a run's
+weight product differs from the previous run's. Per path the work thus
+follows the branch points above the small entries that change, and as the
+runs kept per head and node hold at most `_HELD` node ids each, the
+witness still streams. One search serves every arc out of its tail, each
+head with its own runs. Every other branch is stepped node by node: on a
+graph with a cycle an entry inside a component belongs to one path prefix,
+so most entries are met once and building their runs would cost more than
+it saves. That includes a long pass-through stretch below an entry of more
+than `_SMALL` paths, or of runs over `_HELD`, which is stepped again at
+every meeting: expanding a 10-layer diamond chain whose arms are lines of
+200 pass-through nodes takes 1.4-1.7 times as long as copying each arm
+as one run did.
 
 The arc's path listing is a solve too (`solve_listing`): that recursion
 with every branch point read as a split. Its search (`ListingSearch`)
@@ -165,20 +166,20 @@ class SolveResult:
 # collector walks every container that stays alive.
 _UNIT = (1, 1, 1, 1)
 _DEAD = (0, 1, 0, 0)
-# the most witness paths a branching entry's runs are spliced down to the
-# head for (see `TailSearch._runs`); expanding `diamond_chain(13)`'s 8,192
-# paths took 1.21 / 1.04 / 1 / 1.00 / 1.05 times as long at 8 / 32 / 64 /
-# 256 / 1,024 as at 64, and the nine random DAGs of `scripts/bench.py
-# witness` 1.03 / 1.00 / 1 / 1.07 / 1.33 (medians of 4 rounds, each the
-# median of 60 expansions interleaved in one process; Python 3.11.7 on a
-# shared 2-vCPU host)
+# the most witness paths of a branching entry that gets runs (see
+# `TailSearch._runs`); expanding `diamond_chain(13)`'s 8,192 paths took
+# 1.22 / 1.03 / 1 / 0.99 / 1.09 times as long at 8 / 32 / 64 / 256 / 1,024
+# as at 64, and the nine random DAGs of `scripts/bench.py witness` 1.00 /
+# 0.99 / 1 / 1.09 / 1.35 (`_HELD` the square of each; medians of 4 rounds,
+# each the median of 60 expansions interleaved in one process; Python
+# 3.11.7 on a shared 2-vCPU host)
 _SMALL = 64
-# the most node ids, heads included, a small entry's runs hold after
-# splicing: at most `_SMALL` runs of `_SMALL` ids on average. Without it a
-# line of small branch points above long pass-through stretches copies each
-# stretch into every entry above it: streaming the witness of a ladder of
-# 64 paths over stretches of 1,000 nodes peaked at 16 MiB, 1.5 MiB with
-# this bound and 0.6 MiB without splicing (`tracemalloc`, Python 3.11.7)
+# the most node ids, heads included, an entry's runs may hold, else it
+# keeps none: `_SMALL` runs of `_SMALL` ids on average. Without it a line of
+# small branch points above long pass-through stretches copies each stretch
+# into every entry above it: streaming the witness of a ladder of 64 paths
+# over stretches of 1,000 nodes peaked at 16 MiB, and with it at 0.14 MiB
+# (`tracemalloc`, Python 3.11.7)
 _HELD = _SMALL * _SMALL
 
 
@@ -315,13 +316,11 @@ class TailSearch:
     on demand, once per start node, and all start nodes share the memo and
     `shared`, the entries of dense components (see `entry`). `expand` turns
     an entry into its kept paths toward one head. On an acyclic graph it
-    keeps in `runs[head]`, per branching entry it meets, one run per kept
-    branch, or, where it has at most `_SMALL` witness paths, the runs of the
-    entries below spliced in up to `_HELD` node ids (see `_runs`), so that
-    table holds per node at most `_SMALL` runs or one per kept branch, none
-    longer than a path, and each run that reaches the tail ends with the
-    head. Assumes a valid graph: positive weights, sources without
-    predecessors.
+    keeps in `runs[head]`, per branching entry of at most `_SMALL` witness
+    paths it meets, either all of that entry's witness paths as runs, each
+    ending with the head, or `()` where those would hold more than `_HELD`
+    node ids (see `_runs`). Assumes a valid graph: positive weights,
+    sources without predecessors.
     """
 
     # whether every branch point keeps all its branches, a listing's
@@ -344,9 +343,9 @@ class TailSearch:
         self.on_path = [False] * len(g.nodes)
         self.frame_count = 0
         # on an acyclic graph the memo holds every node's one entry, and
-        # `expand` keeps here, per head, the runs of each branching one it
-        # has met
-        self.runs: dict[int, dict[int, list]] | None = {} if g.acyclic else None
+        # `expand` keeps here, per head, the runs of each small branching
+        # one it has met, or `()`
+        self.runs: dict[int, dict[int, list | tuple]] | None = {} if g.acyclic else None
 
     def entry(self, node: int) -> tuple:
         """The search's entry for `node` as the first node of the paths,
@@ -507,27 +506,23 @@ class TailSearch:
         in a row: a path whose product equals the previous path's shares
         its `Fraction` (every path of a diamond chain does). A pass-through
         entry (one kept branch) is followed inline. A branching entry
-        (several kept branches) gets a frame, [its branches, index of the
-        next one, numerator, denominator, path length], and moving to its
-        next branch replaces the path's tail in one slice assignment.
+        (several kept branches) gets a frame, [the entry, index of its next
+        branch, numerator, denominator, path length]: its first branch is
+        followed inline, and each later one replaces the path's tail with
+        its node in one slice assignment.
 
-        On an acyclic graph the frame's branches are the entry's runs
-        toward `head` (see `_runs`), built on its first meeting and reused
-        at every later one, from any source and in any later expansion
-        toward `head`: per path the work follows the branch points that
-        change, and a pass-through stretch, the head included where it
-        reaches the tail, is copied in one list operation. An entry whose
-        runs all end with the head, one per witness path, gets no frame:
-        the path so far becomes a tuple once, each of its paths is one
+        On an acyclic graph a branching entry of at most `_SMALL` witness
+        paths whose runs toward `head` fit (see `_runs`) gets no frame: the
+        path so far becomes a tuple once, each of its paths is one
         concatenation of that prefix and a run, and a value is computed
         only for a run whose weight product differs from the previous
-        run's. On a graph with a cycle, where an entry inside a component
-        is mostly met once, the frame holds the entry itself and its
-        branches are stepped node by node.
+        run's. Its runs are built on its first meeting and reused at every
+        later one, from any source and in any later expansion toward
+        `head`.
         """
         if not root[2]:
             return
-        ids, memo = self.g.nodes, self.memo
+        ids = self.g.nodes
         table = None if self.runs is None else self.runs.setdefault(head, {})
         # builds the named tuple without its Python-level constructor call
         new = tuple.__new__
@@ -537,69 +532,54 @@ class TailSearch:
         while True:
             while entry is not _UNIT:
                 if len(entry) > 6:
-                    if table is not None:
-                        runs = table.get(v) or self._runs(v, entry, head)
-                        if len(runs) < entry[3]:
-                            frames.append([runs, 0, num, den, len(path)])
+                    if table is not None and entry[3] <= _SMALL:
+                        runs = table.get(v)
+                        if runs is None:
+                            runs = self._runs(v, entry, head)
+                        if runs:
+                            prefix, r_num = tuple(path), None
+                            for nodes, w_num, w_den in runs:
+                                if w_num != r_num or w_den != r_den:
+                                    r_num, r_den, n, d = w_num, w_den, num * w_num, den * w_den
+                                    if n != seen_num or d != seen_den:
+                                        seen_num, seen_den, value = n, d, Fraction(n, d)
+                                yield new(EmergyPath, (prefix + nodes, value))
                             break
-                        # every run ends with the head: its paths, and no frame
-                        prefix, r_num = tuple(path), None
-                        for nodes, w_num, w_den, _ in runs:
-                            if w_num != r_num or w_den != r_den:
-                                r_num, r_den, n, d = w_num, w_den, num * w_num, den * w_den
-                                if n != seen_num or d != seen_den:
-                                    seen_num, seen_den, value = n, d, Fraction(n, d)
-                            yield new(EmergyPath, (prefix + nodes, value))
-                        break
                     frames.append([entry, 6, num, den, len(path)])
                 (v, w_num, w_den), entry = entry[4], entry[5]
                 path.append(ids[v])
                 num *= w_num
                 den *= w_den
             else:
-                # the path reached the tail past no small entry
                 if num != seen_num or den != seen_den:
                     seen_num, seen_den, value = num, den, Fraction(num, den)
-                if path[-1] != head:
-                    # it did not arrive by a run; the next path's slice
-                    # assignment cuts the head off again
-                    path.append(head)
+                # the next path's slice assignment cuts the head off again
+                path.append(head)
                 yield new(EmergyPath, (tuple(path), value))
             if not frames:
                 return
             frame = frames[-1]
-            branches, i, num, den, length = frame
-            if table is None:
-                if i + 2 < len(branches):
-                    frame[1] = i + 2
-                else:
-                    frames.pop()
-                (v, w_num, w_den), entry = branches[i], branches[i + 1]
-                path[length:] = (ids[v],)
+            branching, i, num, den, length = frame
+            if i + 2 < len(branching):
+                frame[1] = i + 2
             else:
-                if i + 1 < len(branches):
-                    frame[1] = i + 1
-                else:
-                    frames.pop()
-                nodes, w_num, w_den, v = branches[i]
-                entry = memo[v]
-                path[length:] = nodes
+                frames.pop()
+            (v, w_num, w_den), entry = branching[i], branching[i + 1]
+            path[length:] = (ids[v],)
             num *= w_num
             den *= w_den
 
-    def _runs(self, v: int, entry: tuple, head: int) -> list:
-        """The runs of node index `v`'s branching `entry` toward `head`,
-        kept in `runs[head]`: (node ids from a branch's node through the
-        pass-through entries after it, then `head` where they reach the
-        tail, their weight product's numerator, its denominator, the index
-        of the node the run stops at, which branches or is the tail).
-        An entry of at most `_SMALL` witness paths splices in the runs of a
-        branching entry below it while its runs then hold at most `_HELD`
-        node ids, so where every branch fits each of its runs ends with the
-        head; a larger one keeps one run per kept branch."""
+    def _runs(self, v: int, entry: tuple, head: int) -> list | tuple:
+        """The runs of node index `v`'s branching `entry` toward `head`, kept
+        in `runs[head]`: one per witness path, (its node ids from the
+        successor on, ending with `head`, its weight product's numerator,
+        its denominator), or `()` where they would hold more than `_HELD`
+        node ids. A branch walks its pass-through entries to the tail, where
+        its one run takes `head`, or to a branching entry, whose runs it
+        takes with its own nodes in front; where those are `()`, so are
+        these."""
         ids, table = self.g.nodes, self.runs[head]
-        small, held = entry[3] <= _SMALL, 0
-        runs = []
+        runs, held = [], 0
         for i in range(4, len(entry), 2):
             (w, r_num, r_den), sub = entry[i], entry[i + 1]
             nodes = [ids[w]]
@@ -610,17 +590,21 @@ class TailSearch:
                 r_den *= w_den
             if sub is _UNIT:
                 nodes.append(head)
-            nodes = tuple(nodes)
-            if small and sub is not _UNIT:
-                below = table.get(w) or self._runs(w, sub, head)
-                # a splice holds each run below with these nodes in front
-                size = held + len(nodes) * len(below) + sum(len(run[0]) for run in below)
-                if size <= _HELD:
-                    runs += [(nodes + more, r_num * n, r_den * d, x) for more, n, d, x in below]
-                    held = size
-                    continue
-            runs.append((nodes, r_num, r_den, w))
-            held += len(nodes)
+                runs.append((tuple(nodes), r_num, r_den))
+                held += len(nodes)
+            else:
+                below = table.get(w)
+                if below is None:
+                    below = self._runs(w, sub, head)
+                if not below:
+                    runs = ()
+                    break
+                nodes = tuple(nodes)
+                runs += [(nodes + more, r_num * n, r_den * d) for more, n, d in below]
+                held += len(nodes) * len(below) + sum(len(run[0]) for run in below)
+            if held > _HELD:
+                runs = ()
+                break
         table[v] = runs
         return runs
 

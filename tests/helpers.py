@@ -9,8 +9,8 @@ source's prefix trie from the listing oracle's paths and evaluates it
 bottom-up, and the clique oracle decomposes the compatibility graph of the
 listing oracle's paths as a cograph. `emergy_graphs` draws small valid
 graphs for the property tests; `family_instances` and `cyclic_core_graphs`
-make the generator families', and `random_no_split_graph` and `ladder` the
-instances only the tests use. `reference_parse_graph`,
+make the generator families', and `random_no_split_graph`, `ladder` and
+`long_arm_chain` the instances only the tests use. `reference_parse_graph`,
 `reference_parse_digraph` and `reference_validate_graph` are the package's
 loaders as they were before the one-pass rewrite (a regex tokenizer,
 `Fraction` arithmetic throughout): the oracles for its error positions,
@@ -121,6 +121,26 @@ def ladder(stretch: int, rungs: int = 63) -> tuple[EmergyGraph, tuple[int, int]]
             kinds.setdefault(b, NodeKind.SPLIT)
             arcs[a, b] = Fraction(1, 2) if a == rung else Fraction(1)
     return EmergyGraph(kinds, {1: Fraction(1)}, arcs), (tail, out)
+
+
+def long_arm_chain(layers: int, arm: int) -> tuple[EmergyGraph, tuple[int, int]]:
+    """`diamond_chain(layers)` with each of a diamond's two arms a line of
+    `arm` (at least 1) pass-through splits: 2**layers paths, each of about
+    `layers * (arm + 1)` nodes. Returns the graph and its one output arc."""
+    kinds = {1: NodeKind.SOURCE, 2: NodeKind.SPLIT}
+    arcs = {(1, 2): Fraction(1)}
+    entry = 2
+    for _ in range(layers):
+        merge = entry + 2 * arm + 1
+        for first in (entry + 1, entry + 1 + arm):
+            line = [entry, *range(first, first + arm), merge]
+            for a, b in zip(line, line[1:]):
+                kinds[b] = NodeKind.SPLIT
+                arcs[a, b] = Fraction(1, 2) if a == entry else Fraction(1)
+        entry = merge
+    kinds[entry + 1] = NodeKind.OUTPUT
+    arcs[entry, entry + 1] = Fraction(1)
+    return EmergyGraph(kinds, {1: Fraction(1)}, arcs), (entry, entry + 1)
 
 
 def successors(g: EmergyGraph) -> dict[int, tuple[int, ...]]:

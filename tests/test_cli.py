@@ -560,6 +560,17 @@ class TestGenCommand:
         assert main(["gen", "--family", "random-digraph", "--nodes", "6", "--seed", "2"]) == 0
         assert parse_digraph(capsys.readouterr().out) == random_digraph(6, 0.5, 2)
 
+    @pytest.mark.parametrize("argv", [
+        ["count-paths"], ["gen", "--family", "reduction", "--digraph"],
+    ], ids=["count-paths", "gen-reduction"])
+    def test_malformed_digraph_error_names_the_file(self, tmp_path, capsys, argv):
+        f = tmp_path / "bad.dg"
+        f.write_text("vertex 1\nvertex x\n")
+        assert main([*argv, str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {f}: line 2, column 8: expected a vertex id, got 'x'\n"
+
     def test_reduction_family_needs_digraph(self, capsys):
         assert main(["gen", "--family", "reduction"]) == 2
 
@@ -730,7 +741,7 @@ def test_bench_script_offers_count_paths_and_the_workloads():
     suites = re.search(r"\{(.*?)\}", proc.stdout).group(1).split(",")
     assert suites == ["count-paths", "load", "witness",
                       *(w["name"] for w in benchmark["workloads"])]
-    for label, count in [("diamond-chain-8", 256), ("reduction-10", 2596)]:
+    for label, count in [("diamond-chain-8", 256), ("reduction-10", 2596), ("long-arms-200", 1024)]:
         child = run_fresh([str(root / "scripts" / "bench.py"), "witness", "--child", label])
         out = json.loads(child.stdout.splitlines()[-1])
         assert (out["paths"], out["witness_paths"]) == (count, count)

@@ -112,8 +112,8 @@ class TestEnumeration:
 
     def test_dense_dags_against_backtracking(self):
         """`random_dag(26, 0.45, seed)`, seeds 0-9: co-products branch in the
-        listing, and 25 of its 1,313 arcs carry more paths than the most the
-        expansion splices (`_SMALL`, 64), up to 613."""
+        listing, and 25 of its 1,313 arcs carry more paths than the most a
+        branch point keeps runs for (`_SMALL`, 64), up to 613."""
         for seed in range(10):
             self.check_against_backtracking(random_dag(26, 0.45, seed))
 

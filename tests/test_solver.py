@@ -46,6 +46,7 @@ from helpers import (
     family_instances,
     ladder,
     listed_emergy_paths,
+    long_arm_chain,
     pairwise_compatible,
     path_value,
     random_no_split_graph,
@@ -438,8 +439,9 @@ class TestAgainstOracles:
         entries toward each head in turn, and toward all heads at once with
         the expansions interleaved path by path, gives each head exactly the
         witness paths and values of a fresh `solve_general`. The expansion
-        keeps its runs on the search per head, and in each head's table
-        every run that stops at the tail ends with that head."""
+        keeps its runs on the search per head, and each head's table holds
+        per node either none, `()`, or one run per witness path of the
+        node's entry, each ending with that head."""
         for g in make():
             heads = {}
             for tail, head in sorted(g.arcs):
@@ -468,10 +470,10 @@ class TestAgainstOracles:
                 assert {head: tuple(paths) for head, paths in got.items()} == expected
                 if g.acyclic and any(entry[2] for _, entry in roots):
                     assert set(search.runs) == set(out)
-                at = g.index[tail]
                 for head, table in (search.runs or {}).items():
-                    assert all(run[0][-1] == head
-                               for runs in table.values() for run in runs if run[3] == at)
+                    for v, runs in table.items():
+                        assert runs == () or len(runs) == search.memo[v][3], (head, v)
+                        assert all(nodes[-1] == head for nodes, _, _ in runs), (head, v)
 
     @given(emergy_graphs())
     @settings(max_examples=80, deadline=None)
@@ -506,9 +508,11 @@ class TestAgainstOracles:
         assert first.value == Fraction(1, 2 ** 40)
 
     def test_witness_expansion_streams(self):
-        """The expansion keeps runs, never paths: streaming 2^16 paths of a
-        2^40-path witness holds what one path and the 40 splits' runs take,
-        where a table of those paths would take tens of MB."""
+        """The expansion keeps runs only below its small branch points, never
+        all paths: streaming 2^16 paths of a 2^40-path witness holds what
+        one path, its frames and the runs of the branch points of at most
+        `_SMALL` paths take, where a table of those paths would take tens
+        of MB."""
         g, arc = diamond_chain(40)
         paths = solve_general(g, arc).witness_paths()
         tracemalloc.start()
@@ -523,7 +527,8 @@ class TestAgainstOracles:
     def test_listing_streams_on_acyclic_graphs(self):
         """On an acyclic graph the listing's search holds one entry per
         node, never the paths: streaming 2^16 of a diamond chain's 2^40
-        paths holds what one path and the 40 splits' runs take."""
+        paths holds what one path, its frames and the small branch points'
+        runs take."""
         g, arc = diamond_chain(40)
         tracemalloc.start()
         try:
@@ -536,11 +541,11 @@ class TestAgainstOracles:
 
     def test_witness_runs_stay_bounded_above_long_stretches(self):
         """On a ladder, 63 branch points in a line above stretches of 1,000
-        pass-through nodes, each small entry splices the runs below it only
-        up to `_HELD` node ids: streaming its 64 witness paths peaks under
-        2 MiB, where splicing every small entry held 16 MiB of runs. The
-        paths are the listing's (checked on shorter stretches, which the
-        recursive listing oracle can walk)."""
+        pass-through nodes, a small entry keeps its runs only while they
+        hold at most `_HELD` node ids, and none above: streaming its 64
+        witness paths peaks under 512 KiB, where keeping every small
+        entry's runs held 16 MiB. The paths are the listing's (checked on
+        shorter stretches, which the recursive listing oracle can walk)."""
         g, arc = ladder(1000)
         result = solve_general(g, arc)
         tracemalloc.start()
@@ -550,7 +555,7 @@ class TestAgainstOracles:
         finally:
             tracemalloc.stop()
         assert count == 64
-        assert peak < 2 * 1024 * 1024
+        assert peak < 512 * 1024
         check_witness(g, arc, solve_general(g, arc))
         for stretch in (1, 20, 100):
             g, arc = ladder(stretch)
@@ -578,15 +583,17 @@ class TestAgainstOracles:
     def test_split_only_chain_witness_is_its_listing(self):
         """Every path of a diamond chain coexists, so its witness is the
         arc's whole listing, values included; the backtracking listing of
-        the tests checks the runs up to 4,096 paths, through entries above
-        and below the most paths the expansion splices (`_SMALL`, 64), and
-        the package's listing, which expands the same way. On a split-only
-        graph the listing is the solve: on the chains and on the reductions
-        of `random_digraph(9, 0.5, seed)`, seeds 0-4, `solve_listing` gives
+        the tests checks the expansion up to 4,096 paths, through entries
+        above and below the most witness paths a branch point keeps runs
+        for (`_SMALL`, 64), and the package's listing, which expands the
+        same way. On `long_arm_chain(8, 30)` the entries of 32 or more
+        paths would hold more than `_HELD` node ids of runs, so they keep
+        none and are stepped node by node. On a split-only graph the
+        listing is the solve: on the chains and on the reductions of
+        `random_digraph(9, 0.5, seed)`, seeds 0-4, `solve_listing` gives
         `solve_general`'s value, stats and paths."""
         instances = []
-        for layers in range(1, 13):
-            g, arc = diamond_chain(layers)
+        for g, arc in [*map(diamond_chain, range(1, 13)), long_arm_chain(8, 30)]:
             expected = tuple(listed_emergy_paths(g, arc))
             assert tuple(solve_general(g, arc).witness_paths()) == expected
             assert tuple(iter_emergy_paths(g, arc)) == expected
@@ -651,7 +658,8 @@ class TestBeyondTheOracles:
     def test_witness_certificate_at_dag_scale(self):
         """The largest witness of `random_dag(50, 0.5, seed)`, seeds 0-9:
         37,337 paths through entries shared between branches and sources and
-        through co-products, where the expansion reuses runs."""
+        through co-products, where the expansion reuses the runs of small
+        branch points."""
         total = 0
         for seed in range(10):
             g = random_dag(50, 0.5, seed)
