@@ -8,49 +8,63 @@ Each `--src [NAME=]DIR` is a directory holding the `empower` package. Every
 measurement runs in a fresh interpreter, with PYTHONDONTWRITEBYTECODE=1 unless
 said otherwise, the sides interleaved in an order that rotates from repeat to
 repeat. Medians and quartiles go to stdout and, with the Python version,
-platform and CPU count, to BENCH_<suite>.json at the repository root. The
-suites:
+platform and CPU count, to BENCH_<suite>.json at the repository root.
 
-- `count-paths` (5 repeats): one process per instance times by wall clock
-  one call each of `build_reduction`, `solve_general` on the wrapped
-  instance, `decode_counts` on its value and `count_simple_paths(d, "dfs")`,
-  then the `tracemalloc` peak of one more DFS count. Where an `EmergyGraph`
-  derives its index form and whole-graph Tarjan pass when it is built, that
-  work is timed in `build_reduction`, not in `solve_general`. The instances
-  are lines of 100, 200 and 400 vertices, where the reduction's numbers are
-  longest, and `random_digraph(12, 0.6, 1)` and `random_digraph(13, 0.6, 1)`,
-  with 96,625 and 751,690 simple paths, whose reductions are dense. Every
-  run must decode the count the DFS finds, and the sides must count alike.
-- `load` (5 repeats): the stages that read an instance file. On each file,
-  one process times one `graph.parse_graph` call (the `EmergyGraph`
-  construction included) and one `graph.validate_graph` call by wall
-  clock, and one more process, `python -m empower.cli validate FILE`, is
-  timed whole from here; it must exit 0 with empty stdout. The files are a
-  3,000-node chain this script writes (one source, splits in a line, one
-  output, every weight 1) and the output of `empower gen --family
-  random-cyclic --nodes 1000 --seed 1` under the first side, 200,022 lines.
-- `witness` (5 repeats): the layer the acyclic-explosion workload spends
-  most of its round in, which `perfbench/run.py --trace` cannot see. One
-  process per instance times `solve_general(g, arc)` and then reading its
-  `.witness`, which expands every witness path, by wall clock, 15 times
-  each, and prints their medians. The instances are `diamond_chain(k)` for
-  k = 8-13 at its one output arc, and `random_dag(26, 0.45, s)`, the
-  acyclic-explosion workload's shape, at the arc into an output with the
-  most paths (ties low), for the nine seeds s below 200 where those paths
-  are most (`DAG_SEEDS`). One more instance has a cycle, so there the
-  expansion steps node by node: the split-only counting reduction of
+`count-paths`, `load` and `witness` are instance suites (5 repeats). Each is
+one `Suite` in `INSTANCE_SUITES`: its instances, its stages and what each
+one times, the one fact its sides must agree on, and a child function that
+runs one instance. `instance_suite` runs all three alike. For each repeat
+and each instance the sides take turns, so a drift in the host's speed
+falls on both alike, and each turn is one process, `bench.py SUITE --child
+INSTANCE` (for `load`, the file's path), running the child under that
+side's package. The child checks its own answer and, when a check fails,
+exits non-zero with a one-line message, which names the instance; the
+parent adds the side. Otherwise it prints one JSON line of stage values
+and facts. Per side and instance, every stage is summarized over the
+repeats and the first run's facts are kept; every run of every side must
+give the suite's fact one value.
+
+- `count-paths`: one call each of `build_reduction`, `solve_general` on
+  the wrapped instance, `decode_counts` on its value and
+  `count_simple_paths(d, "dfs")`, by wall clock, then the `tracemalloc`
+  peak of one more DFS count. Where an `EmergyGraph` derives its index
+  form and whole-graph Tarjan pass when it is built, that work is timed in
+  `build_reduction`, not in `solve_general`. The instances are lines of
+  100, 200 and 400 vertices, where the reduction's numbers are longest,
+  and `random_digraph(12, 0.6, 1)` and `random_digraph(13, 0.6, 1)`, with
+  96,625 and 751,690 simple paths, whose reductions are dense. The child
+  checks that the reduction decodes the count the DFS finds; the fact is
+  that count.
+- `load`: the stages that read an instance file. On each file, one
+  `empower validate FILE` process, timed whole, which must exit 0 with
+  empty stdout, then one `graph.parse_graph` call (the `EmergyGraph`
+  construction included) and one `graph.validate_graph` call, which must
+  report nothing, by wall clock. The files are a 3,000-node chain (one
+  source, splits in a line, one output, every weight 1) and the output of
+  `empower gen --family random-cyclic --nodes 1000 --seed 1` under the
+  first side, 200,022 lines, both written by `load_files`; the fact is the
+  number of arcs read.
+- `witness`: the layer the acyclic-explosion workload spends most of its
+  round in, which `perfbench/run.py --trace` cannot see.
+  `solve_general(g, arc)` and then reading its `.witness`, which expands
+  every witness path, by wall clock, 15 times each; the child reports
+  their medians. The instances are `diamond_chain(k)` for k = 8-13 at its
+  one output arc, and `random_dag(26, 0.45, s)`, the acyclic-explosion
+  workload's shape, at the arc into an output with the most paths (ties
+  low), for the nine seeds s below 200 where those paths are most
+  (`DAG_SEEDS`). One more instance has a cycle, so there the expansion
+  steps node by node: the split-only counting reduction of
   `random_digraph(10, 0.6, 1)` at its target arc, whose 2,596 paths are
   all witness paths. One more is `diamond_chain(10)` with each arm a line
   of 200 pass-through splits (1,024 paths), where the branch points above
   the bottom two layers keep no runs and their long arms are stepped node
-  by node. One more process builds a ladder (63 splits in a line, each
-  also feeding its own line of 1,000 pass-through splits into the arc
-  tail; 64 witness paths) and reports the time of streaming its witness
-  once, then the `tracemalloc` peak and the time of streaming it once
-  more under `tracemalloc`, which traces every int the stepping allocates
-  and so slows node-by-node stepping most. The sides
-  take turns instance by instance, so a drift in the host's speed falls on
-  both alike. Every side must find the same witness counts.
+  by node. The last is a ladder (63 splits in a line, each also feeding
+  its own line of 1,000 pass-through splits into the arc tail; 64 witness
+  paths): its child reports the time of streaming the witness once, then
+  the `tracemalloc` peak and the time of streaming it once more under
+  `tracemalloc`, which traces every int the stepping allocates and so
+  slows node-by-node stepping most. The fact is the number of witness
+  paths.
 - one suite per workload of BENCHMARK.json (`cli-queries`,
   `acyclic-explosion`, `cyclic-core`; 10 repeats): each side's package is
   copied into a temporary tree next to this checkout's `perfbench/`, and
@@ -82,42 +96,17 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
-INSTANCES = {
-    "line-100": "line digraph 1 -> 2 -> ... -> 100, start 1, target 100",
-    "line-200": "line digraph 1 -> 2 -> ... -> 200, start 1, target 200",
-    "line-400": "line digraph 1 -> 2 -> ... -> 400, start 1, target 400",
-    "random-digraph-12": "generators.random_digraph(12, 0.6, 1), start 1, target 12",
-    "random-digraph-13": "generators.random_digraph(13, 0.6, 1), start 1, target 13",
-}
-STAGES = ("build_reduction", "solve_general", "decode_counts", "dfs_count")
-LOAD_FILES = {
-    "chain-3000": "source 1 (emergy 7/3), splits 2-2999 in a line, output 3000, weights 1",
-    "random-cyclic-1000": "empower gen --family random-cyclic --nodes 1000 --seed 1",
-}
-LOAD_STAGES = ("parse_graph_ms", "validate_graph_ms", "validate_process_ms")
 # the nine seeds below 200 whose random_dag(26, 0.45, seed) has the most
 # paths at an arc into an output: 724-2,025, with 1-746 witness paths
 DAG_SEEDS = (28, 30, 69, 94, 140, 143, 145, 181, 184)
-WITNESS_INSTANCES = {
-    **{f"diamond-chain-{k}": f"generators.diamond_chain({k}) at its output arc"
-       for k in range(8, 14)},
-    **{f"random-dag-{s}": f"generators.random_dag(26, 0.45, {s}) at the arc into an output "
-                          "with the most paths, ties low" for s in DAG_SEEDS},
-    "reduction-10": "hardness.build_reduction(generators.random_digraph(10, 0.6, 1)) at its "
-                    "target arc: split-only, with a cycle",
-    "long-arms-200": "diamond_chain(10) with each arm a line of 200 pass-through splits, at "
-                     "its output arc: 1,024 paths of 2,013 nodes",
-}
-LADDER = ("ladder-1000: source 1, splits 2-64 in a line, each also feeding its own line of "
-          "1,000 pass-through splits into the arc tail, the last one the tail too")
-WITNESS_STAGES = ("solve_ms", "witness_ms")
-LADDER_STAGES = ("stream_ms", "traced_ms")
 
 
 def run(argv: list[str], pythonpath: Path, write_bytecode: bool = False) -> str:
@@ -158,8 +147,15 @@ def table(corner: str, columns: list[str], rows: dict[str, list[float]]) -> None
         print(f"{label:<{width}}" + "".join(f"{v:>22.4g}" for v in values))
 
 
-def count_paths_child(label: str) -> None:
-    """Time one instance with the `empower` on the path; print a JSON line."""
+def timed(stages: dict, stage: str, call: Callable):
+    """`call()`, its wall time stored in ms as `stages[stage]`."""
+    started = time.perf_counter()
+    out = call()
+    stages[stage] = (time.perf_counter() - started) * 1000
+    return out
+
+
+def count_paths_child(label: str) -> dict:
     import tracemalloc
 
     from empower.generators import random_digraph
@@ -172,142 +168,60 @@ def count_paths_child(label: str) -> None:
                     frozenset((i, i + 1) for i in range(1, n)), 1, n)
     else:
         d = random_digraph(int(label.split("-")[2]), 0.6, 1)
-    ms = {}
-
-    def timed(stage, call):
-        started = time.perf_counter()
-        out = call()
-        ms[stage] = (time.perf_counter() - started) * 1000
-        return out
-
-    inst = timed("build_reduction", lambda: build_reduction(d))
-    value = timed("solve_general", lambda: solve_general(inst.graph, inst.target_arc).value)
-    vector = timed("decode_counts", lambda: decode_counts(
+    stages = {}
+    inst = timed(stages, "build_reduction", lambda: build_reduction(d))
+    value = timed(stages, "solve_general",
+                  lambda: solve_general(inst.graph, inst.target_arc).value)
+    vector = timed(stages, "decode_counts", lambda: decode_counts(
         value / inst.graph.arcs[inst.target_arc], inst.bound, len(d.vertices) + 1))
-    paths = timed("dfs_count", lambda: count_simple_paths(d, "dfs"))
+    paths = timed(stages, "dfs_count", lambda: count_simple_paths(d, "dfs"))
+    if vector.total != paths:
+        raise SystemExit(f"{label}: the reduction decoded {vector.total} paths, "
+                         f"the DFS counted {paths}")
     tracemalloc.start()
     count_simple_paths(d, "dfs")
-    peak = tracemalloc.get_traced_memory()[1]
+    stages["dfs_peak_kib"] = tracemalloc.get_traced_memory()[1] / 1024
     tracemalloc.stop()
-    print(json.dumps({"ms": ms, "decoded": vector.total, "dfs": paths,
-                      "bound_bits": inst.bound.bit_length(), "dfs_peak_bytes": peak}))
+    return {"stages": stages,
+            "facts": {"simple_paths": paths, "bound_bits": inst.bound.bit_length()}}
 
 
-def count_paths(sides: dict[str, Path], repeats: int) -> dict:
-    outs = {(name, label): [] for name in sides for label in INSTANCES}
-    for r in range(repeats):
-        for name in rotated(list(sides), r):
-            for label in INSTANCES:
-                stdout = run([sys.executable, __file__, "count-paths", "--child", label],
-                             sides[name])
-                out = json.loads(stdout.splitlines()[-1])
-                if out["decoded"] != out["dfs"]:
-                    raise SystemExit(f"{label} under {sides[name]}: reduction decoded "
-                                     f"{out['decoded']} paths, the DFS counted {out['dfs']}")
-                outs[name, label].append(out)
-    for label in INSTANCES:
-        counts = {outs[name, label][0]["dfs"] for name in sides}
-        if len(counts) > 1:
-            raise SystemExit(f"{label}: the sides count different numbers of paths {counts}")
-
-    results = {name: {label: {
-        "simple_paths": outs[name, label][0]["dfs"],
-        "bound_bits": outs[name, label][0]["bound_bits"],
-        "dfs_peak_kib": round(outs[name, label][0]["dfs_peak_bytes"] / 1024, 1),
-        **{stage: summary([o["ms"][stage] for o in outs[name, label]]) for stage in STAGES}}
-        for label in INSTANCES} for name in sides}
-    rows = {}
-    for label in INSTANCES:
-        for stage in STAGES:
-            rows[f"{label} {stage}"] = [results[name][label][stage]["median"] for name in sides]
-        rows[f"{label} dfs_peak_kib"] = [results[name][label]["dfs_peak_kib"] for name in sides]
-    table("instance stage", list(sides), rows)
-    return {
-        "metric": "wall time of one call per stage in a fresh process, ms: median and "
-                  "quartiles; dfs_peak_kib is the tracemalloc peak of one DFS count",
-        "repeats": repeats,
-        "instances": INSTANCES,
-        "stages": {
-            "build_reduction": "hardness.build_reduction(d), with the wrapped EmergyGraph's "
-                               "construction: on a side whose graph derives its index form "
-                               "and whole-graph Tarjan pass when built, that work is here",
-            "solve_general": "solver.solve_general on the wrapped instance's target arc",
-            "decode_counts": "hardness.decode_counts(value / exit weight, bound, n + 1)",
-            "dfs_count": "hardness.count_simple_paths(d, 'dfs')",
-        },
-        "results": results,
-    }
+def load_files(tmp: Path, src: Path) -> dict[str, str]:
+    """Write the load suite's files into `tmp`, generating one with the
+    package under `src`; the child's argument per instance: the file."""
+    chain, cyclic = tmp / "chain-3000.eg", tmp / "random-cyclic-1000.eg"
+    chain.write_text("".join(
+        ["node 1 source 7/3\n", *(f"node {i} split\n" for i in range(2, 3000)),
+         "node 3000 output\n", *(f"arc {i} {i + 1} 1\n" for i in range(1, 3000))]))
+    cyclic.write_text(run([sys.executable, "-m", "empower.cli", "gen", "--family",
+                           "random-cyclic", "--nodes", "1000", "--seed", "1"], src))
+    return {"chain-3000": str(chain), "random-cyclic-1000": str(cyclic)}
 
 
-def load_child(path: str) -> None:
-    """Time one parse and one validation of the file at `path`; print a JSON line."""
+def load_child(path: str) -> dict:
     from empower.graph import parse_graph, validate_graph
 
+    stages = {}
+    proc = timed(stages, "validate_process_ms", lambda: subprocess.run(
+        [sys.executable, "-m", "empower.cli", "validate", path], capture_output=True, text=True))
+    if proc.returncode or proc.stdout:
+        raise SystemExit(f"{path}: validate exited {proc.returncode} and printed "
+                         f"{proc.stdout[:200]!r}")
     with open(path, encoding="utf-8") as f:
         text = f.read()
-    started = time.perf_counter()
-    g = parse_graph(text)
-    parsed = time.perf_counter()
-    report = validate_graph(g)
-    done = time.perf_counter()
-    print(json.dumps({"parse_graph_ms": (parsed - started) * 1000,
-                      "validate_graph_ms": (done - parsed) * 1000, "violations": len(report)}))
-
-
-def load(sides: dict[str, Path], repeats: int) -> dict:
-    ms = {(name, label): {stage: [] for stage in LOAD_STAGES}
-          for name in sides for label in LOAD_FILES}
-    with tempfile.TemporaryDirectory() as tmp:
-        files = {label: Path(tmp) / f"{label}.eg" for label in LOAD_FILES}
-        files["chain-3000"].write_text("".join(
-            ["node 1 source 7/3\n", *(f"node {i} split\n" for i in range(2, 3000)),
-             "node 3000 output\n", *(f"arc {i} {i + 1} 1\n" for i in range(1, 3000))]))
-        files["random-cyclic-1000"].write_text(run(
-            [sys.executable, "-m", "empower.cli", "gen", "--family", "random-cyclic",
-             "--nodes", "1000", "--seed", "1"], next(iter(sides.values()))))
-        for r in range(repeats):
-            for name in rotated(list(sides), r):
-                for label, file in files.items():
-                    out = json.loads(run([sys.executable, __file__, "load", "--child", str(file)],
-                                         sides[name]).splitlines()[-1])
-                    if out["violations"]:
-                        raise SystemExit(f"{label} under {sides[name]}: {out['violations']} "
-                                         "violations in a valid file")
-                    started = time.perf_counter()
-                    stdout = run([sys.executable, "-m", "empower.cli", "validate", str(file)],
-                                 sides[name])
-                    out["validate_process_ms"] = (time.perf_counter() - started) * 1000
-                    if stdout:
-                        raise SystemExit(f"{label} under {sides[name]}: "
-                                         f"validate printed {stdout[:200]!r}")
-                    for stage in LOAD_STAGES:
-                        ms[name, label][stage].append(out[stage])
-        lines = {label: len(file.read_text().splitlines()) for label, file in files.items()}
-    results = {name: {label: {"lines": lines[label], **{
-        stage: summary(ms[name, label][stage]) for stage in LOAD_STAGES}}
-        for label in LOAD_FILES} for name in sides}
-    table("file stage", list(sides), {
-        f"{label} {stage}": [results[name][label][stage]["median"] for name in sides]
-        for label in LOAD_FILES for stage in LOAD_STAGES})
-    return {
-        "metric": "wall time per stage, ms: median and quartiles over the repeats",
-        "repeats": repeats,
-        "files": LOAD_FILES,
-        "stages": {
-            "parse_graph_ms": "graph.parse_graph(text) in a fresh process, the EmergyGraph "
-                              "construction (index form, Tarjan pass) included",
-            "validate_graph_ms": "graph.validate_graph(g) in the same process",
-            "validate_process_ms": "one `python -m empower.cli validate FILE` process, "
-                                   "timed from start to exit by the parent",
-        },
-        "results": results,
-    }
+    g = timed(stages, "parse_graph_ms", lambda: parse_graph(text))
+    violations = timed(stages, "validate_graph_ms", lambda: validate_graph(g))
+    if violations:
+        raise SystemExit(f"{path}: {len(violations)} violations in a valid file")
+    return {"stages": stages, "facts": {"lines": len(text.splitlines()), "arcs": len(g.arcs)}}
 
 
 def ladder(stretch: int):
-    """The ladder of `LADDER` with stretches of `stretch` nodes, and its arc."""
-    from fractions import Fraction
-
+    """Source 1 feeding splits 2-64 in a line; each also feeds its own line
+    of `stretch` (at least 1) pass-through splits into the arc tail 65, and
+    64 feeds the tail directly too: 64 witness paths, every branch point
+    above long pass-through stretches. Returns the graph and its one output
+    arc."""
     from empower.graph import EmergyGraph, NodeKind
 
     tail, out, first = 65, 66, 67
@@ -325,10 +239,9 @@ def ladder(stretch: int):
 
 
 def long_arm_chain(layers: int, arm: int):
-    """The instance of `long-arms-*` in `WITNESS_INSTANCES`: `diamond_chain(layers)` with each
-    arm a line of `arm` pass-through splits, and its output arc."""
-    from fractions import Fraction
-
+    """`diamond_chain(layers)` with each of a diamond's two arms a line of
+    `arm` (at least 1) pass-through splits: 2**layers paths, each of about
+    `layers * (arm + 1)` nodes. Returns the graph and its one output arc."""
     from empower.graph import EmergyGraph, NodeKind
 
     kinds = {1: NodeKind.SOURCE, 2: NodeKind.SPLIT}
@@ -347,9 +260,7 @@ def long_arm_chain(layers: int, arm: int):
     return EmergyGraph(kinds, {1: Fraction(1)}, arcs), (entry, entry + 1)
 
 
-def witness_child(label: str) -> None:
-    """Time one instance's solve and witness, or stream the ladder's
-    witness, untraced and then under `tracemalloc`; print a JSON line."""
+def witness_child(label: str) -> dict:
     import tracemalloc
 
     from empower.generators import diamond_chain, random_dag, random_digraph
@@ -359,21 +270,16 @@ def witness_child(label: str) -> None:
 
     if label == "ladder-1000":
         g, arc = ladder(1000)
+        stages = {}
         paths = solve_general(g, arc).witness_paths
-        started = time.perf_counter()
-        count = sum(1 for _ in paths())
-        stream_ms = (time.perf_counter() - started) * 1000
+        count = timed(stages, "stream_ms", lambda: sum(1 for _ in paths()))
         # a fresh solve, so the traced stream builds its runs again
         paths = solve_general(g, arc).witness_paths
         tracemalloc.start()
-        started = time.perf_counter()
-        sum(1 for _ in paths())
-        traced_ms = (time.perf_counter() - started) * 1000
-        peak = tracemalloc.get_traced_memory()[1]
+        timed(stages, "traced_ms", lambda: sum(1 for _ in paths()))
+        stages["peak_kib"] = tracemalloc.get_traced_memory()[1] / 1024
         tracemalloc.stop()
-        print(json.dumps({"witness_paths": count, "peak_bytes": peak, "stream_ms": stream_ms,
-                          "traced_ms": traced_ms}))
-        return
+        return {"stages": stages, "facts": {"witness_paths": count}}
     kind, _, number = label.rpartition("-")
     if kind == "diamond-chain":
         g, arc = diamond_chain(int(number))
@@ -386,66 +292,115 @@ def witness_child(label: str) -> None:
         g = random_dag(26, 0.45, int(number))
         into = [a for a in sorted(g.arcs) if g.kind[a[1]] is NodeKind.OUTPUT]
         arc = max(into, key=lambda a: (solve_general(g, a).stats.path_count, -a[0], -a[1]))
-    ms = {stage: [] for stage in WITNESS_STAGES}
+    samples = []
     for _ in range(15):
-        started = time.perf_counter()
-        result = solve_general(g, arc)
-        solved = time.perf_counter()
-        result.witness
-        done = time.perf_counter()
-        ms["solve_ms"].append((solved - started) * 1000)
-        ms["witness_ms"].append((done - solved) * 1000)
-    print(json.dumps({"arc": arc, "paths": result.stats.path_count,
-                      "witness_paths": result.stats.witness_count,
-                      **{stage: statistics.median(ms[stage]) for stage in WITNESS_STAGES}}))
+        stages = {}
+        result = timed(stages, "solve_ms", lambda: solve_general(g, arc))
+        timed(stages, "witness_ms", lambda: result.witness)
+        samples.append(stages)
+    return {"stages": {stage: statistics.median(one[stage] for one in samples)
+                       for stage in samples[0]},
+            "facts": {"arc": arc, "paths": result.stats.path_count,
+                      "witness_paths": result.stats.witness_count}}
 
 
-def witness(sides: dict[str, Path], repeats: int) -> dict:
-    labels = [*WITNESS_INSTANCES, "ladder-1000"]
-    outs = {(name, label): [] for name in sides for label in labels}
-    for r in range(repeats):
-        for label in labels:
-            for name in rotated(list(sides), r):
-                stdout = run([sys.executable, __file__, "witness", "--child", label], sides[name])
-                outs[name, label].append(json.loads(stdout.splitlines()[-1]))
-    for label in labels:
-        counts = {out["witness_paths"] for name in sides for out in outs[name, label]}
-        if len(counts) > 1:
-            raise SystemExit(f"{label}: the sides find different witness counts {counts}")
+class Suite(NamedTuple):
+    """An instance suite: `child(argument)` runs one instance and returns
+    {"stages": {stage: value}, "facts": {name: value}}."""
+    child: Callable[[str], dict]
+    instances: dict[str, str]
+    stages: dict[str, str]
+    fact: str  # the fact every run of every side must agree on
+    metric: str
+    # writes the instance files into a temporary directory with the first
+    # side's package and returns the child's argument per instance, which
+    # is otherwise the instance's name
+    files: Callable[[Path, Path], dict[str, str]] | None = None
 
-    results = {name: {label: {
-        "arc": outs[name, label][0]["arc"], "paths": outs[name, label][0]["paths"],
-        "witness_paths": outs[name, label][0]["witness_paths"],
-        **{stage: summary([o[stage] for o in outs[name, label]]) for stage in WITNESS_STAGES}}
-        for label in WITNESS_INSTANCES} for name in sides}
-    for name in sides:
-        ladder_runs = outs[name, "ladder-1000"]
-        results[name]["ladder-1000"] = {
-            "witness_paths": ladder_runs[0]["witness_paths"],
-            "peak_kib": summary([o["peak_bytes"] / 1024 for o in ladder_runs]),
-            **{stage: summary([o[stage] for o in ladder_runs]) for stage in LADDER_STAGES}}
-    rows = {f"{label} {stage}": [results[name][label][stage]["median"] for name in sides]
-            for label in WITNESS_INSTANCES for stage in WITNESS_STAGES}
-    for stage in ("peak_kib", *LADDER_STAGES):
-        rows[f"ladder-1000 {stage}"] = [results[name]["ladder-1000"][stage]["median"]
-                                        for name in sides]
+
+INSTANCE_SUITES = {
+    "count-paths": Suite(
+        count_paths_child,
+        {"line-100": "line digraph 1 -> 2 -> ... -> 100, start 1, target 100",
+         "line-200": "line digraph 1 -> 2 -> ... -> 200, start 1, target 200",
+         "line-400": "line digraph 1 -> 2 -> ... -> 400, start 1, target 400",
+         "random-digraph-12": "generators.random_digraph(12, 0.6, 1), start 1, target 12",
+         "random-digraph-13": "generators.random_digraph(13, 0.6, 1), start 1, target 13"},
+        {"build_reduction": "hardness.build_reduction(d), with the wrapped EmergyGraph's "
+                            "construction: on a side whose graph derives its index form "
+                            "and whole-graph Tarjan pass when built, that work is here",
+         "solve_general": "solver.solve_general on the wrapped instance's target arc",
+         "decode_counts": "hardness.decode_counts(value / exit weight, bound, n + 1)",
+         "dfs_count": "hardness.count_simple_paths(d, 'dfs')",
+         "dfs_peak_kib": "tracemalloc peak of one more count_simple_paths(d, 'dfs'), KiB"},
+        "simple_paths",
+        "per stage, one call's wall time in ms or a tracemalloc peak in KiB, in a fresh "
+        "process: median and quartiles over the repeats"),
+    "load": Suite(
+        load_child,
+        {"chain-3000": "source 1 (emergy 7/3), splits 2-2999 in a line, output 3000, weights 1",
+         "random-cyclic-1000": "empower gen --family random-cyclic --nodes 1000 --seed 1"},
+        {"validate_process_ms": "one `python -m empower.cli validate FILE` process, "
+                                "timed from start to exit by the process that starts it",
+         "parse_graph_ms": "graph.parse_graph(text), that process's first parse, the "
+                           "EmergyGraph construction (index form, Tarjan pass) included",
+         "validate_graph_ms": "graph.validate_graph(g) in the same process"},
+        "arcs",
+        "wall time per stage, ms: median and quartiles over the repeats",
+        load_files),
+    "witness": Suite(
+        witness_child,
+        {**{f"diamond-chain-{k}": f"generators.diamond_chain({k}) at its output arc"
+            for k in range(8, 14)},
+         **{f"random-dag-{s}": f"generators.random_dag(26, 0.45, {s}) at the arc into an "
+                               "output with the most paths, ties low" for s in DAG_SEEDS},
+         "reduction-10": "hardness.build_reduction(generators.random_digraph(10, 0.6, 1)) at "
+                         "its target arc: split-only, with a cycle",
+         "long-arms-200": "diamond_chain(10) with each arm a line of 200 pass-through splits, "
+                          "at its output arc: 1,024 paths of 2,013 nodes",
+         "ladder-1000": "source 1, splits 2-64 in a line, each also feeding its own line of "
+                        "1,000 pass-through splits into the arc tail, the last one the tail "
+                        "too"},
+        {"solve_ms": "solver.solve_general(g, arc): the search, witness unexpanded",
+         "witness_ms": "reading the result's .witness: every witness path expanded into one "
+                       "tuple",
+         "stream_ms": "ladder only: wall time of streaming witness_paths() once, ms",
+         "peak_kib": "ladder only: tracemalloc peak of streaming witness_paths() of a fresh "
+                     "solve once more, the runs the expansion keeps included, KiB",
+         "traced_ms": "ladder only: that streaming's wall time under tracemalloc, ms"},
+        "witness_paths",
+        "per instance, the median over 15 calls in a fresh process of each stage's wall "
+        "time, ms; median and quartiles of those over the repeats"),
+}
+
+
+def instance_suite(name: str, sides: dict[str, Path], repeats: int) -> dict:
+    suite = INSTANCE_SUITES[name]
+    runs = {(side, label): [] for side in sides for label in suite.instances}
+    with tempfile.TemporaryDirectory() as tmp:
+        args = (suite.files(Path(tmp), next(iter(sides.values()))) if suite.files
+                else {label: label for label in suite.instances})
+        for r in range(repeats):
+            for label in suite.instances:
+                for side in rotated(list(sides), r):
+                    stdout = run([sys.executable, __file__, name, "--child", args[label]],
+                                 sides[side])
+                    runs[side, label].append(json.loads(stdout.splitlines()[-1]))
+    results, rows = {side: {} for side in sides}, {}
+    for label in suite.instances:
+        facts = {side: {out["facts"][suite.fact] for out in runs[side, label]} for side in sides}
+        if len(set().union(*facts.values())) > 1:
+            raise SystemExit(f"{label}: the sides disagree on {suite.fact}: {facts}")
+        for side in sides:
+            first = runs[side, label][0]
+            results[side][label] = {**first["facts"], **{
+                stage: summary([out["stages"][stage] for out in runs[side, label]])
+                for stage in first["stages"]}}
+        for stage in first["stages"]:
+            rows[f"{label} {stage}"] = [results[side][label][stage]["median"] for side in sides]
     table("instance stage", list(sides), rows)
-    return {
-        "metric": "per instance, the median over 15 calls in a fresh process of each stage's "
-                  "wall time, ms; median and quartiles of those over the repeats",
-        "repeats": repeats,
-        "instances": {**WITNESS_INSTANCES, "ladder-1000": LADDER},
-        "stages": {
-            "solve_ms": "solver.solve_general(g, arc): the search, witness unexpanded",
-            "witness_ms": "reading the result's .witness: every witness path expanded into "
-                          "one tuple",
-            "stream_ms": "ladder only: wall time of streaming witness_paths() once, ms",
-            "peak_kib": "ladder only: tracemalloc peak of streaming witness_paths() of a fresh "
-                        "solve once more, the runs the expansion keeps included, KiB",
-            "traced_ms": "ladder only: that streaming's wall time under tracemalloc, ms",
-        },
-        "results": results,
-    }
+    return {"metric": suite.metric, "repeats": repeats, "instances": suite.instances,
+            "stages": suite.stages, "results": results}
 
 
 def perfbench(workload: str, sides: dict[str, Path], repeats: int) -> dict:
@@ -509,7 +464,7 @@ def perfbench(workload: str, sides: dict[str, Path], repeats: int) -> dict:
 
 
 # suite -> (function, default repeats)
-SUITES = {"count-paths": (count_paths, 5), "load": (load, 5), "witness": (witness, 5),
+SUITES = {**{name: (partial(instance_suite, name), 5) for name in INSTANCE_SUITES},
           **{w["name"]: (partial(perfbench, w["name"]), 10) for w in BENCHMARK["workloads"]}}
 
 
@@ -529,8 +484,7 @@ def main() -> None:
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        children = {"load": load_child, "witness": witness_child}
-        children.get(args.suite, count_paths_child)(args.child)
+        print(json.dumps(INSTANCE_SUITES[args.suite].child(args.child)))
         return
     suite, default_repeats = SUITES[args.suite]
     repeats = default_repeats if args.repeats is None else args.repeats

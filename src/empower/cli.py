@@ -1,12 +1,15 @@
 """Command line surface.
 
 Exit codes: 0 success, 1 semantic failure (violations, count mismatch, an
-induced four-path), 2 usage or parse errors, 3 method/instance mismatch.
+induced four-path), 2 usage or parse errors, 3 method/instance mismatch;
+as the shell reports a process ended by the signal, 141 when the reader
+of stdout closes it early (SIGPIPE) and 130 on an interrupt (SIGINT).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
@@ -341,6 +344,13 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as refusal:  # a command's refusal, already printed
         return refusal.code
+    except BrokenPipeError:
+        # nothing more can be shown; point stdout at the null device so
+        # the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except KeyboardInterrupt:
+        return 130
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# `scripts/bench.py` builds the ladder and long-arm instances the tests use too
+sys.path.insert(0, str(Path(__file__).parents[1] / "scripts"))
 
 from empower.fixtures import load_textbook
 from empower.graph import EmergyGraph, NodeKind

@@ -9,12 +9,13 @@ source's prefix trie from the listing oracle's paths and evaluates it
 bottom-up, and the clique oracle decomposes the compatibility graph of the
 listing oracle's paths as a cograph. `emergy_graphs` draws small valid
 graphs for the property tests; `family_instances` and `cyclic_core_graphs`
-make the generator families', and `random_no_split_graph`, `ladder` and
-`long_arm_chain` the instances only the tests use. `reference_parse_graph`,
-`reference_parse_digraph` and `reference_validate_graph` are the package's
-loaders as they were before the one-pass rewrite (a regex tokenizer,
-`Fraction` arithmetic throughout): the oracles for its error positions,
-messages and reports.
+make the generator families', and `random_no_split_graph` an instance
+family only the tests use (`scripts/bench.py` builds the ladder and the
+long-arm diamond chain for the tests and its witness suite alike).
+`reference_parse_graph`, `reference_parse_digraph` and
+`reference_validate_graph` are the package's loaders as they were before
+the one-pass rewrite (a regex tokenizer, `Fraction` arithmetic
+throughout): the oracles for its error positions, messages and reports.
 """
 
 from __future__ import annotations
@@ -100,47 +101,6 @@ def cyclic_core_graphs() -> list[EmergyGraph]:
     benchmark's cyclic-core workload, too large for the trie and brute-force
     oracles."""
     return [random_cyclic(24, 0.26, 4, seed) for seed in range(20)]
-
-
-def ladder(stretch: int, rungs: int = 63) -> tuple[EmergyGraph, tuple[int, int]]:
-    """Source 1 feeding splits 2..rungs+1 in a line; each also feeds its own
-    line of `stretch` (at least 1) pass-through splits into the arc tail,
-    and the last one feeds the tail directly too: rungs + 1 witness paths,
-    every branch point above long pass-through stretches. Returns the graph
-    and its one output arc."""
-    tail, out = rungs + 2, rungs + 3
-    kinds = {1: NodeKind.SOURCE, tail: NodeKind.SPLIT, out: NodeKind.OUTPUT}
-    arcs = {(1, 2): Fraction(1), (tail, out): Fraction(1)}
-    first = out + 1
-    for rung in range(2, rungs + 2):
-        kinds[rung] = NodeKind.SPLIT
-        arcs[rung, rung + 1 if rung <= rungs else tail] = Fraction(1, 2)
-        line = [rung, *range(first, first + stretch), tail]
-        first += stretch
-        for a, b in zip(line, line[1:]):
-            kinds.setdefault(b, NodeKind.SPLIT)
-            arcs[a, b] = Fraction(1, 2) if a == rung else Fraction(1)
-    return EmergyGraph(kinds, {1: Fraction(1)}, arcs), (tail, out)
-
-
-def long_arm_chain(layers: int, arm: int) -> tuple[EmergyGraph, tuple[int, int]]:
-    """`diamond_chain(layers)` with each of a diamond's two arms a line of
-    `arm` (at least 1) pass-through splits: 2**layers paths, each of about
-    `layers * (arm + 1)` nodes. Returns the graph and its one output arc."""
-    kinds = {1: NodeKind.SOURCE, 2: NodeKind.SPLIT}
-    arcs = {(1, 2): Fraction(1)}
-    entry = 2
-    for _ in range(layers):
-        merge = entry + 2 * arm + 1
-        for first in (entry + 1, entry + 1 + arm):
-            line = [entry, *range(first, first + arm), merge]
-            for a, b in zip(line, line[1:]):
-                kinds[b] = NodeKind.SPLIT
-                arcs[a, b] = Fraction(1, 2) if a == entry else Fraction(1)
-        entry = merge
-    kinds[entry + 1] = NodeKind.OUTPUT
-    arcs[entry, entry + 1] = Fraction(1)
-    return EmergyGraph(kinds, {1: Fraction(1)}, arcs), (entry, entry + 1)
 
 
 def successors(g: EmergyGraph) -> dict[int, tuple[int, ...]]:

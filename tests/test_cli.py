@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import empower
+from bench import INSTANCE_SUITES
 from empower.cli import decimal_string, main
 from empower.fixtures import TEXTBOOK_NOTICE, textbook_path
 from empower.generators import diamond_chain, random_digraph
@@ -606,14 +607,18 @@ sys.exit(code)
 """
 
 
+def fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this `empower`."""
+    src = str(Path(empower.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_fresh(args: list[str], timeout: float = 60) -> subprocess.CompletedProcess:
     """`python ARGS` in a fresh interpreter that imports this `empower`;
     it must exit 0 within `timeout` seconds."""
-    src = str(Path(empower.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env, timeout=timeout)
+                          capture_output=True, text=True, env=fresh_env(), timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return proc
 
@@ -741,10 +746,48 @@ def test_bench_script_offers_count_paths_and_the_workloads():
     suites = re.search(r"\{(.*?)\}", proc.stdout).group(1).split(",")
     assert suites == ["count-paths", "load", "witness",
                       *(w["name"] for w in benchmark["workloads"])]
-    for label, count in [("diamond-chain-8", 256), ("reduction-10", 2596), ("long-arms-200", 1024)]:
+    for label, count in [("reduction-10", 2596), ("long-arms-200", 1024)]:
         child = run_fresh([str(root / "scripts" / "bench.py"), "witness", "--child", label])
-        out = json.loads(child.stdout.splitlines()[-1])
-        assert (out["paths"], out["witness_paths"]) == (count, count)
+        facts = json.loads(child.stdout.splitlines()[-1])["facts"]
+        assert (facts["paths"], facts["witness_paths"]) == (count, count)
+
+
+@pytest.mark.parametrize("suite, instance, stages, fact", [
+    ("count-paths", "line-100",
+     ["build_reduction", "solve_general", "decode_counts", "dfs_count", "dfs_peak_kib"], 1),
+    ("load", "FILE", ["validate_process_ms", "parse_graph_ms", "validate_graph_ms"], 1),
+    ("witness", "diamond-chain-8", ["solve_ms", "witness_ms"], 256),
+])
+def test_bench_children_print_their_suites_stages_and_fact(suite, instance, stages, fact,
+                                                           trivial_file):
+    """One small child of each instance suite prints that instance's
+    stages, each declared by its suite, and the fact the sides must agree
+    on; the load child reads a written file."""
+    script = Path(__file__).parents[1] / "scripts" / "bench.py"
+    child = run_fresh([str(script), suite, "--child",
+                       trivial_file if instance == "FILE" else instance])
+    out = json.loads(child.stdout.splitlines()[-1])
+    assert list(out["stages"]) == stages
+    assert set(stages) <= set(INSTANCE_SUITES[suite].stages)
+    assert out["facts"][INSTANCE_SUITES[suite].fact] == fact
+
+
+@pytest.mark.parametrize("argv", [["paths"], ["solve", "--state"]], ids=["paths", "solve-state"])
+def test_a_closed_pipe_ends_a_listing_quietly(argv, tmp_path):
+    """A reader that stops after one line, as `| head -1` does, ends the
+    listing with exit 141 and no traceback: the 16,384 paths of a 14-layer
+    chain fill the pipe long before they are all written."""
+    g, arc = diamond_chain(14)
+    f = tmp_path / "chain14.eg"
+    f.write_text(serialize_graph(g))
+    with subprocess.Popen([sys.executable, "-m", "empower.cli", argv[0], str(f), "--arc",
+                           "{},{}".format(*arc), *argv[1:]], env=fresh_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in stderr
 
 
 def test_parity_script_finds_a_tree_identical_to_itself(tmp_path):

@@ -33,6 +33,7 @@ from empower.graph import (
 from empower.hardness import build_reduction, count_simple_paths
 from empower.paths import EmergyPath, enumerate_emergy_paths, iter_emergy_paths
 from empower.solver import TailSearch, brute_force_solve, solve_general, solve_listing
+from bench import ladder, long_arm_chain
 from helpers import (
     TrieNode,
     arc_with_most_paths,
@@ -44,9 +45,7 @@ from helpers import (
     emergy_graphs,
     evaluate_trie,
     family_instances,
-    ladder,
     listed_emergy_paths,
-    long_arm_chain,
     pairwise_compatible,
     path_value,
     random_no_split_graph,
